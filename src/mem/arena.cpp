@@ -42,18 +42,49 @@ std::size_t SlabArena::threadShard() {
 }
 
 void* SlabArena::allocate() {
-  FreeShard& shard = shards_[threadShard()];
+  const std::size_t self = threadShard();
+  FreeShard& shard = shards_[self];
+  void* p = nullptr;
   {
     std::lock_guard<std::mutex> lk(shard.mu);
-    if (FreeNode* n = shard.head) {
-      shard.head = n->next;
-      allocated_.fetch_add(1, std::memory_order_relaxed);
-      return n;
+    if (FreeNode* n = shard.head.load(std::memory_order_relaxed)) {
+      shard.head.store(n->next, std::memory_order_relaxed);
+      p = n;
     }
   }
-  void* p = refill(shard);
+  if (p == nullptr) p = steal(self);
+  if (p == nullptr) p = refill(shard);
   allocated_.fetch_add(1, std::memory_order_relaxed);
   return p;
+}
+
+void* SlabArena::steal(std::size_t self) {
+  for (std::size_t i = 1; i < kFreeShards; ++i) {
+    FreeShard& victim = shards_[(self + i) & (kFreeShards - 1)];
+    // Unlocked peek: an arena nobody frees into (a populate) pays no
+    // victim locks. A stale answer only skips a victim or locks an empty one.
+    if (victim.head.load(std::memory_order_relaxed) == nullptr) continue;
+    FreeNode* chain;
+    {
+      std::lock_guard<std::mutex> lk(victim.mu);
+      chain = victim.head.exchange(nullptr, std::memory_order_relaxed);
+    }
+    if (chain == nullptr) continue;
+    if (FreeNode* rest = chain->next) {
+      FreeShard& shard = shards_[self];
+      std::lock_guard<std::mutex> lk(shard.mu);
+      // The caller's shard was empty a moment ago; walk the stolen chain
+      // only if a colliding thread has pushed onto it since.
+      if (FreeNode* mine = shard.head.load(std::memory_order_relaxed)) {
+        FreeNode* tail = rest;
+        while (tail->next != nullptr) tail = tail->next;
+        tail->next = mine;
+      }
+      shard.head.store(rest, std::memory_order_relaxed);
+    }
+    return chain;
+  }
+  return nullptr;
 }
 
 void* SlabArena::refill(FreeShard& shard) {
@@ -89,8 +120,8 @@ void* SlabArena::refill(FreeShard& shard) {
           reinterpret_cast<FreeNode*>(extraBegin + (i + 1) * stride_);
     }
     std::lock_guard<std::mutex> lk(shard.mu);
-    tail->next = shard.head;
-    shard.head = head;
+    tail->next = shard.head.load(std::memory_order_relaxed);
+    shard.head.store(head, std::memory_order_relaxed);
   }
   return first;
 }
@@ -99,8 +130,8 @@ void SlabArena::pushFree(void* p) {
   FreeShard& shard = shards_[threadShard()];
   auto* n = static_cast<FreeNode*>(p);
   std::lock_guard<std::mutex> lk(shard.mu);
-  n->next = shard.head;
-  shard.head = n;
+  n->next = shard.head.load(std::memory_order_relaxed);
+  shard.head.store(n, std::memory_order_relaxed);
   recycled_.fetch_add(1, std::memory_order_relaxed);
 }
 

@@ -13,6 +13,13 @@
 //   * per-thread free-list shards: frees and reuses hash the calling thread
 //     onto one of several independently locked free lists, so concurrent
 //     allocation/retirement does not serialize on one lock;
+//   * cross-thread reuse: a freed block lands on the *freeing* thread's
+//     shard — with SFTree that is the maintenance thread, which frees what
+//     the client threads allocated. A thread whose shard is empty therefore
+//     takes another shard's whole free chain (one lock, one pointer swap)
+//     before it carves fresh slab space, so the arena stays at the size of
+//     its peak live set instead of growing with every allocate/free pair
+//     that crosses threads;
 //   * GC integration: `SlabArena::recycle(p)` finds the owning arena from
 //     the slab header (slab base = pointer rounded down to the slab size),
 //     so a limbo-list deleter can return a node to the arena of whatever
@@ -92,10 +99,14 @@ class SlabArena {
 
   struct alignas(64) FreeShard {
     std::mutex mu;
-    FreeNode* head = nullptr;
+    // Written only under `mu`; atomic so steal() can peek without it.
+    std::atomic<FreeNode*> head{nullptr};
   };
 
   void pushFree(void* p);
+  // Empties the first non-empty shard other than `self`: returns one block
+  // and splices the rest onto shard `self`. Null when every shard is empty.
+  void* steal(std::size_t self);
   // Carves up to kRefillBatch fresh blocks; returns one and pushes the rest
   // onto `shard`.
   void* refill(FreeShard& shard);

@@ -89,6 +89,9 @@ detail::PendingOp* ServingTier::enqueue(const Request& r,
   while (d > prev && !ex.maxDepth.compare_exchange_weak(
                          prev, d, std::memory_order_relaxed)) {
   }
+  // Dekker handshake with the executor's park (store sleeping, fence, load
+  // head): with both fences, it sees this push or this load sees it asleep.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
   if (ex.sleeping.load(std::memory_order_acquire)) {
     std::lock_guard<std::mutex> lk(ex.mu);
     ex.cv.notify_one();
@@ -158,6 +161,10 @@ void ServingTier::executorLoop(Executor& ex) {
         }
         std::unique_lock<std::mutex> lk(ex.mu);
         ex.sleeping.store(true, std::memory_order_release);
+        // Without it the store could pass the load below (x86 store
+        // buffer), a racing submit would miss `sleeping` and its request
+        // would wait out idleWait.
+        std::atomic_thread_fence(std::memory_order_seq_cst);
         if (ex.head.load(std::memory_order_acquire) == nullptr &&
             !stop_.load(std::memory_order_acquire)) {
           ex.cv.wait_for(lk, cfg_.idleWait);

@@ -20,7 +20,13 @@ MaintenanceScheduler::MaintenanceScheduler(MaintenanceSchedulerConfig cfg)
 }
 
 MaintenanceScheduler::~MaintenanceScheduler() {
-  stop_.store(true, std::memory_order_release);
+  {
+    // Under mu_: a worker checks stop_ and parks in one critical section,
+    // so an unlocked store could land between the two and its notify fire
+    // before the untimed wait, leaving join() blocked for ever.
+    std::lock_guard<std::mutex> lk(mu_);
+    stop_.store(true, std::memory_order_release);
+  }
   cv_.notify_all();
   for (auto& w : workers_) w.join();
 }

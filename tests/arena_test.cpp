@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <mutex>
 #include <set>
 #include <thread>
 #include <vector>
@@ -124,6 +126,57 @@ TEST(SlabArenaTest, ConcurrentAllocateRecycleStress) {
   for (auto& th : threads) th.join();
   EXPECT_EQ(arena.liveBlocks(), 0);
   EXPECT_EQ(arena.allocated(), arena.recycled());
+}
+
+// The SFTree shape: one thread allocates, another frees (maintenance frees
+// what clients allocated), so every freed block lands on a shard the
+// allocator never pops from. The allocator must reuse those blocks rather
+// than carve new slabs each round: the arena stays at the size of its peak
+// live set, not the total ever allocated.
+TEST(SlabArenaTest, BlocksFreedOnAnotherThreadAreReused) {
+  mem::SlabArena arena(sizeof(TestNode));
+  constexpr std::size_t kBlocks = 2048;
+  constexpr int kRounds = 100;
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<void*> handoff;
+  bool done = false;
+
+  // The allocator takes its shard first, the recycler the next one: two
+  // distinct shards.
+  std::thread allocator([&] {
+    for (int r = 0; r < kRounds; ++r) {
+      std::vector<void*> blocks(kBlocks);
+      for (void*& p : blocks) p = arena.allocate();
+      std::unique_lock<std::mutex> lk(mu);
+      handoff = std::move(blocks);
+      cv.notify_all();
+      cv.wait(lk, [&] { return handoff.empty(); });
+    }
+    std::lock_guard<std::mutex> lk(mu);
+    done = true;
+    cv.notify_all();
+  });
+  std::thread recycler([&] {
+    std::unique_lock<std::mutex> lk(mu);
+    for (;;) {
+      cv.wait(lk, [&] { return !handoff.empty() || done; });
+      if (handoff.empty()) return;
+      for (void* p : handoff) mem::SlabArena::recycle(p);
+      handoff.clear();
+      cv.notify_all();
+    }
+  });
+  allocator.join();
+  recycler.join();
+
+  EXPECT_EQ(arena.liveBlocks(), 0);
+  const std::size_t perSlab =
+      (mem::SlabArena::kSlabBytes - mem::SlabArena::kBlockAlign) /
+      arena.strideBytes();
+  const std::size_t needed = (kBlocks + perSlab - 1) / perSlab;
+  // Without cross-shard reuse this grows by `needed` every round.
+  EXPECT_LE(arena.slabCount(), 2 * needed + 1);
 }
 
 // Recycle-under-GC stress: concurrent inserts/erases churn nodes through

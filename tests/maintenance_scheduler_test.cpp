@@ -1,11 +1,13 @@
 // Shared maintenance scheduler: N trees multiplexed onto K worker threads.
 // Covers quiescing real trees through the pool, register/unregister under
-// races, pause semantics, backoff/work-signal accounting and stats
-// consistency.
+// races, pause semantics, backoff/work-signal accounting, stats
+// consistency, and shutdown waking an idle worker.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -328,6 +330,48 @@ TEST(MaintenanceSchedulerTest, LoadSteersWorkersToTheHottestTree) {
   }
   scheduler.unregisterTree(hot);
   scheduler.unregisterTree(cold);
+}
+
+// Destroying a scheduler must wake a worker parked in its untimed wait (no
+// trees registered). With stop_ stored outside mu_, a worker between its
+// stop_ check and cv_.wait missed the notify and join() blocked for ever
+// within a few thousand cycles. The churn runs on a helper thread so that
+// a lost wakeup fails the test at a progress deadline instead of hanging.
+TEST(MaintenanceSchedulerTest, CreateDestroyChurnNeverLosesStopWakeup) {
+  constexpr int kIters = 10'000;
+  trees::SFTree tree(externallyMaintained());
+  std::atomic<int> progress{0};
+  std::thread churn([&] {
+    for (int i = 0; i < kIters; ++i) {
+      shard::MaintenanceScheduler scheduler;
+      const auto h = scheduler.registerTree(
+          "tree", [&tree](const std::atomic<bool>* cancel) {
+            return tree.runMaintenancePass(cancel);
+          });
+      scheduler.unregisterTree(h);
+      progress.fetch_add(1);
+    }
+  });
+
+  constexpr auto kStall = std::chrono::seconds(10);
+  int seen = -1;
+  auto lastMove = std::chrono::steady_clock::now();
+  while (progress.load() < kIters) {
+    const int now = progress.load();
+    if (now != seen) {
+      seen = now;
+      lastMove = std::chrono::steady_clock::now();
+    } else if (std::chrono::steady_clock::now() - lastMove > kStall) {
+      ADD_FAILURE() << "scheduler destruction hung after " << now
+                    << " cycles";
+      // The helper is parked in ~MaintenanceScheduler's join() for good and
+      // can be neither joined nor abandoned safely: end the process.
+      std::fflush(stdout);
+      std::_Exit(1);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  churn.join();
 }
 
 }  // namespace

@@ -3,11 +3,13 @@
 // so every result must match a sequential model), completion guarantees
 // across shutdown (futures and callbacks, accepted or rejected), AIMD batch
 // shrink under forced write conflicts, and batches spanning a live
-// splitShard/mergeShards migration with key conservation. The shutdown and
-// resharding tests are in the ThreadSanitizer CI job's regex.
+// splitShard/mergeShards migration with key conservation, and the
+// submitter waking a parked executor. The shutdown and resharding tests
+// are in the ThreadSanitizer CI job's regex.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <thread>
 #include <vector>
@@ -364,6 +366,44 @@ TEST(ServingTest, RegisterMetricsExportsCountersAndHistograms) {
   EXPECT_TRUE(counterIs("serve.completed", "64")) << text;
   EXPECT_NE(text.find("serve.latency_update_ns.count"), std::string::npos);
   tier.stop();
+}
+
+// Every request after an idle gap finds the executor parked, so its wakeup
+// rests on the sleeping/head handshake alone. A missed wakeup leaves the
+// request waiting out idleWait (5 s here); the deadline sits far below it
+// and far above a host-steal stall.
+TEST(ServingTest, SubmitAfterIdleGapWakesParkedExecutor) {
+  shard::MaintenanceScheduler scheduler;
+  shard::ShardedMapConfig cfg;
+  cfg.shards = 1;
+  cfg.scheduler = &scheduler;
+  shard::ShardedMap map(cfg);
+
+  serve::ServingTierConfig scfg;
+  scfg.executors = 1;
+  scfg.idleWait = std::chrono::seconds(5);
+  serve::ServingTier tier(map, scfg);
+
+  constexpr int kRequests = 300;
+  constexpr auto kDeadline = std::chrono::milliseconds(1000);
+  for (int i = 0; i < kRequests; ++i) {
+    std::this_thread::sleep_for(std::chrono::microseconds(500));
+    serve::Request r;
+    r.op = serve::OpKind::kInsert;
+    r.key = static_cast<Key>(i);
+    r.value = static_cast<Value>(i);
+    const auto start = std::chrono::steady_clock::now();
+    serve::Future f = tier.submit(r);
+    while (!f.ready() &&
+           std::chrono::steady_clock::now() - start < kDeadline) {
+      std::this_thread::yield();
+    }
+    ASSERT_TRUE(f.ready()) << "request " << i << " missed its wakeup";
+    EXPECT_TRUE(f.get().ok);
+  }
+  tier.stop();
+  map.quiesce();
+  EXPECT_EQ(map.size(), static_cast<std::size_t>(kRequests));
 }
 
 }  // namespace

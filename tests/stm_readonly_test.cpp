@@ -205,6 +205,10 @@ TEST(ReadOnlyTxTest, TreeReadsUseRoPathAndStayConsistent) {
     opts.domain = &dom;
     auto map = trees::makeMap(kind, stm::TxKind::Normal, opts);
     for (sftree::Key k = 0; k < 512; ++k) map->insert(k, k);
+    // Settle the restructuring of the ascending fill first: a maintenance
+    // commit landing inside each read would (correctly) withdraw the RO
+    // hint after two restarts, which is what slow TSan runs hit.
+    map->quiesce();
 
     const auto before = dom.aggregateStats();
     EXPECT_TRUE(map->contains(17));
