@@ -23,6 +23,11 @@
 // batchRetryLimit attempts degrades to committing only its first request,
 // so one conflicting key cannot convict the same batch repeatedly.
 //
+// Neither side of a request sleeps on the fast path: an executor that finds
+// its queue empty spins for a short budget before it parks, so a submit
+// rarely needs a wakeup syscall, and Future::wait spins on the op's `done`
+// flag before it blocks on it.
+//
 // Completion is a Future<Result> / callback API. Enqueue-to-completion
 // latency rides the sampled TSC clock (obs::tick) into per-executor
 // obs::LogHistograms, so p50/p99/p999 come from the metrics registry like
@@ -38,6 +43,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/histogram.hpp"
@@ -84,7 +90,13 @@ namespace detail {
 // callback-only submission holds a single reference). Heap-allocated per
 // request: the serving tier sits above the STM fast path, and the queue
 // node doubles as the future's shared state, so one allocation covers both.
+// Completion is the `done` flag alone: waiters spin on it, then block in
+// done.wait() (an address-keyed futex), so an op carries no mutex/condvar.
 struct PendingOp {
+  PendingOp(const Request& r, std::function<void(const Result&)> cb,
+            int references)
+      : req(r), callback(std::move(cb)), refs(references) {}
+
   PendingOp* next = nullptr;
   Request req;
   Result res;
@@ -92,21 +104,23 @@ struct PendingOp {
   std::function<void(const Result&)> callback;
   std::atomic<bool> done{false};
   std::atomic<int> refs{1};
-  std::mutex mu;
-  std::condition_variable cv;
 
   void release() {
     if (refs.fetch_sub(1, std::memory_order_acq_rel) == 1) delete this;
   }
-  // Publishes res, wakes waiters, runs the callback (on the completing
-  // thread), drops the completer's reference.
+  // Publishes res, then wakes a Future's waiters or runs the callback (on
+  // the completing thread), then drops the completer's reference. A
+  // callback submission has no Future, so nothing can wait on `done` and
+  // the notify (an atomic RMW on a shared waiter-pool line) is skipped. The
+  // notify comes before release(), so the op is alive while waiters are
+  // woken even if the Future side has already seen `done` and let go.
   void complete() {
-    {
-      std::lock_guard<std::mutex> lk(mu);
-      done.store(true, std::memory_order_release);
+    done.store(true, std::memory_order_release);
+    if (callback) {
+      callback(res);
+    } else {
+      done.notify_all();
     }
-    cv.notify_all();
-    if (callback) callback(res);
     release();
   }
 };
@@ -137,12 +151,10 @@ class Future {
   bool ready() const {
     return op_ != nullptr && op_->done.load(std::memory_order_acquire);
   }
-  void wait() {
-    if (op_ == nullptr || op_->done.load(std::memory_order_acquire)) return;
-    std::unique_lock<std::mutex> lk(op_->mu);
-    op_->cv.wait(lk,
-                 [this] { return op_->done.load(std::memory_order_acquire); });
-  }
+  // Spins on the op's `done` flag for the executor's spin budget (a
+  // synchronous request usually completes inside it), then blocks in
+  // done.wait() until complete() notifies.
+  void wait();
   // Blocks, returns the result, invalidates the future.
   Result get() {
     wait();
@@ -177,7 +189,8 @@ struct ServingTierConfig {
   // Admission bound per submission queue; submissions beyond it complete
   // immediately with rejected = true. 0 = unbounded.
   std::size_t queueCapacity = 1 << 16;
-  // Executor idle nap while its queue is empty.
+  // Executor park timeout once its spin found the queue empty (a submit
+  // wakes a parked executor sooner).
   std::chrono::microseconds idleWait{500};
 };
 
@@ -264,9 +277,11 @@ class ServingTier {
   };
 
   std::size_t queueFor(Key k) const;
-  detail::PendingOp* enqueue(const Request& r,
-                             std::function<void(const Result&)> cb,
-                             bool withFuture);
+  // Queues `op` on its key's executor, or completes it inline as rejected.
+  // Returns this op's own admission decision; `op` may already be freed
+  // when the caller holds no reference of its own.
+  bool enqueue(detail::PendingOp* op);
+  void reject(detail::PendingOp* op);
   void executorLoop(Executor& ex);
   void executeBatch(Executor& ex, detail::PendingOp* const* ops,
                     std::size_t n);
@@ -279,7 +294,9 @@ class ServingTier {
   std::atomic<bool> stop_{false};
   std::atomic<bool> stopped_{false};
   std::mutex stopMu_;
-  std::atomic<std::uint64_t> submitted_{0};
+  // Written on every submit: a line of their own, so a submit does not
+  // invalidate the stop_ line that spinning executors poll.
+  alignas(64) std::atomic<std::uint64_t> submitted_{0};
   std::atomic<std::uint64_t> rejected_{0};
 };
 

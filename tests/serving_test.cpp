@@ -3,13 +3,17 @@
 // so every result must match a sequential model), completion guarantees
 // across shutdown (futures and callbacks, accepted or rejected), AIMD batch
 // shrink under forced write conflicts, and batches spanning a live
-// splitShard/mergeShards migration with key conservation, and the
-// submitter waking a parked executor. The shutdown and resharding tests
-// are in the ThreadSanitizer CI job's regex.
+// splitShard/mergeShards migration with key conservation, the submitter
+// waking a parked executor, an idle tier parking instead of spinning,
+// futures waking after their spin window, and the callback submit's own
+// admission verdict. The suite is in the ThreadSanitizer CI job's regex.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <thread>
 #include <vector>
@@ -369,9 +373,11 @@ TEST(ServingTest, RegisterMetricsExportsCountersAndHistograms) {
 }
 
 // Every request after an idle gap finds the executor parked, so its wakeup
-// rests on the sleeping/head handshake alone. A missed wakeup leaves the
-// request waiting out idleWait (5 s here); the deadline sits far below it
-// and far above a host-steal stall.
+// rests on the sleeping/head handshake alone: the 1 ms gaps are five times
+// the executor's spin budget (200 us), so the spin has ended and the
+// executor sleeps in its condvar. A missed wakeup leaves the request
+// waiting out idleWait (5 s here); the deadline sits far below it and far
+// above a host-steal stall.
 TEST(ServingTest, SubmitAfterIdleGapWakesParkedExecutor) {
   shard::MaintenanceScheduler scheduler;
   shard::ShardedMapConfig cfg;
@@ -387,7 +393,7 @@ TEST(ServingTest, SubmitAfterIdleGapWakesParkedExecutor) {
   constexpr int kRequests = 300;
   constexpr auto kDeadline = std::chrono::milliseconds(1000);
   for (int i = 0; i < kRequests; ++i) {
-    std::this_thread::sleep_for(std::chrono::microseconds(500));
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
     serve::Request r;
     r.op = serve::OpKind::kInsert;
     r.key = static_cast<Key>(i);
@@ -404,6 +410,156 @@ TEST(ServingTest, SubmitAfterIdleGapWakesParkedExecutor) {
   tier.stop();
   map.quiesce();
   EXPECT_EQ(map.size(), static_cast<std::size_t>(kRequests));
+}
+
+// The callback submit returns its own admission decision. With a tiny
+// queue bound and four submitters, other submitters' rejections land
+// inside every submit; a verdict read off the tier-wide rejected counter
+// reports some accepted requests as rejected.
+TEST(ServingTest, CallbackSubmitReportsItsOwnAdmission) {
+  shard::MaintenanceScheduler scheduler;
+  shard::ShardedMapConfig cfg;
+  cfg.shards = 1;
+  cfg.scheduler = &scheduler;
+  shard::ShardedMap map(cfg);
+
+  serve::ServingTierConfig scfg;
+  scfg.executors = 1;
+  scfg.queueCapacity = 4;
+  serve::ServingTier tier(map, scfg);
+
+  constexpr int kThreads = 4;
+  constexpr int kOpsPerThread = 20'000;
+  std::atomic<std::uint64_t> returnedTrue{0};
+  std::atomic<std::uint64_t> ranAccepted{0};
+  std::atomic<std::uint64_t> callbacks{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kOpsPerThread; ++i) {
+        const serve::Request r{serve::OpKind::kInsert,
+                               static_cast<Key>(t * kOpsPerThread + i), 1};
+        const bool accepted = tier.submit(r, [&](const serve::Result& res) {
+          if (!res.rejected) ranAccepted.fetch_add(1);
+          callbacks.fetch_add(1);
+        });
+        if (accepted) returnedTrue.fetch_add(1);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  tier.stop();
+
+  EXPECT_EQ(callbacks.load(),
+            static_cast<std::uint64_t>(kThreads) * kOpsPerThread);
+  EXPECT_EQ(returnedTrue.load(), ranAccepted.load());
+  EXPECT_GT(tier.stats().rejected, 0u) << "the queue bound was never hit";
+  EXPECT_GT(ranAccepted.load(), 0u);
+}
+
+double processCpuSeconds() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  const auto sec = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) +
+           static_cast<double>(tv.tv_usec) * 1e-6;
+  };
+  return sec(ru.ru_utime) + sec(ru.ru_stime);
+}
+
+// An executor spins only for a bounded time after its queue empties, then
+// parks: a tier left idle after a burst costs next to no CPU. A spin that
+// never ended would burn one core per executor over the idle window.
+TEST(ServingTest, IdleTierParks) {
+  shard::MaintenanceScheduler scheduler;
+  shard::ShardedMapConfig cfg;
+  cfg.shards = 2;
+  cfg.scheduler = &scheduler;
+  shard::ShardedMap map(cfg);
+
+  serve::ServingTierConfig scfg;
+  scfg.executors = 2;
+  serve::ServingTier tier(map, scfg);
+
+  std::vector<serve::Future> futs;
+  for (Key k = 0; k < 2'000; ++k) {
+    futs.push_back(tier.submit({serve::OpKind::kInsert, k, k}));
+  }
+  for (auto& f : futs) EXPECT_FALSE(f.get().rejected);
+
+  const auto wall0 = std::chrono::steady_clock::now();
+  const double cpu0 = processCpuSeconds();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const double cpu = processCpuSeconds() - cpu0;
+  const double wall = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - wall0)
+                          .count();
+  EXPECT_LT(cpu, 0.3 * wall) << "idle tier used " << cpu << " s of CPU in "
+                             << wall << " s";
+  tier.stop();
+}
+
+// Waiters that outlast their spin block in done.wait(), and complete() must
+// wake every one of them. A request whose callback sleeps 5 ms holds the
+// only executor, so the requests queued behind it complete long after
+// their waiters stopped spinning; several threads wait at once.
+TEST(ServingTest, FutureWaitWakesAfterSpinWindow) {
+  shard::MaintenanceScheduler scheduler;
+  shard::ShardedMapConfig cfg;
+  cfg.shards = 1;
+  cfg.scheduler = &scheduler;
+  shard::ShardedMap map(cfg);
+
+  serve::ServingTierConfig scfg;
+  scfg.executors = 1;
+  serve::ServingTier tier(map, scfg);
+
+  constexpr int kRounds = 20;
+  constexpr int kWaiters = 4;
+  constexpr auto kDelay = std::chrono::milliseconds(5);
+  constexpr auto kDeadline = std::chrono::seconds(10);
+  std::atomic<int> woke{0};
+  std::atomic<int> longWaits{0};
+  std::atomic<bool> slowRunning{false};
+  for (int round = 0; round < kRounds; ++round) {
+    slowRunning.store(false);
+    tier.submit({serve::OpKind::kInsert, static_cast<Key>(round), 1},
+                [&](const serve::Result&) {
+                  slowRunning.store(true);
+                  std::this_thread::sleep_for(kDelay);
+                });
+    while (!slowRunning.load()) std::this_thread::yield();
+
+    std::vector<std::thread> waiters;
+    for (int w = 0; w < kWaiters; ++w) {
+      waiters.emplace_back([&] {
+        const auto start = std::chrono::steady_clock::now();
+        serve::Future f = tier.submit({serve::OpKind::kGet, 0, 0});
+        EXPECT_FALSE(f.get().rejected);
+        if (std::chrono::steady_clock::now() - start >
+            std::chrono::milliseconds(1)) {
+          longWaits.fetch_add(1);
+        }
+        woke.fetch_add(1);
+      });
+    }
+    const auto start = std::chrono::steady_clock::now();
+    while (woke.load() < (round + 1) * kWaiters) {
+      if (std::chrono::steady_clock::now() - start > kDeadline) {
+        ADD_FAILURE() << "round " << round << ": "
+                      << (round + 1) * kWaiters - woke.load()
+                      << " waiters never woke";
+        // The waiters are blocked in Future::get for good and can be
+        // neither joined nor abandoned safely: end the process.
+        std::fflush(stdout);
+        std::_Exit(1);
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    for (auto& th : waiters) th.join();
+  }
+  EXPECT_GT(longWaits.load(), 0) << "no waiter outlasted its spin";
+  tier.stop();
 }
 
 }  // namespace
