@@ -5,9 +5,9 @@
 // Scenario: hot-percent of all operations target keys routed to the slots
 // initially owned by shard 0 (a hot tenant/partition — per-key hashing
 // means a hot *range* spreads on its own, but a hot slot group does not).
-// The static configuration serves that skew from one tree/domain forever;
-// the dynamic configuration runs a ReshardController during warmup, which
-// splits the hot shard (spreading its slots over fresh trees/domains) and
+// The static configuration serves that skew from one tree forever; the
+// dynamic configuration runs a ReshardController during warmup, which
+// splits the hot shard (spreading its slots over fresh trees) and
 // merges the idle ones, converging back to the same total shard count.
 //
 // Reported per mode (static | dynamic), measured over identical workloads:
@@ -107,7 +107,6 @@ PhaseResult runPhase(bool dynamic, const Workload& wl, int threads,
   cfg.shards = shards;
   cfg.routingSlots = slots;
   cfg.scheduler = &scheduler;
-  cfg.domainMode = shard::DomainMode::PerShard;
   shard::ShardedMap map(cfg);
 
   for (std::size_t i = 0; i < wl.hot.size(); i += 2) map.insert(wl.hot[i], 1);

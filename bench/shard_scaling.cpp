@@ -1,34 +1,19 @@
 // Shard scaling — throughput of the ShardedMap on a mixed workload
 // (reads + insert/remove + composed cross-shard moves) as the number of
-// shards grows with a *fixed* shared maintenance pool of K < N workers,
-// comparing the two STM clock layouts back-to-back:
-//
-//   * shared domain   — every shard commits against one version clock (the
-//     pre-domain behaviour: shards share no tree nodes but still bump the
-//     same clock cache line on every writing commit);
-//   * per-shard domain — each shard owns a full stm::Domain, so single-key
-//     transactions share *no* STM metadata and the map scales like N
-//     independent trees; cross-shard moves pay the ordered multi-domain
-//     commit instead.
-//
-// The shape to look for: per-shard domains meet or beat the shared clock as
-// the shard count grows, with the gap widening with update rate and thread
-// count; per-domain commit/abort counters show the traffic spreading evenly
-// across the clocks.
+// shards grows with a *fixed* shared maintenance pool of K < N workers.
+// Every shard commits against the map's one STM clock domain, so shards
+// share no tree nodes but do share the version clock.
 //
 //   shard_scaling --shards=1,2,4,8 --threads=4 --updates=20 --moves=2 \
 //                 --json=BENCH_shard_scaling.json
 #include <algorithm>
 #include <cstdio>
-#include <sstream>
-#include <string>
 
 #include "bench_core/cli.hpp"
 #include "bench_core/harness.hpp"
 #include "bench_core/report.hpp"
 #include "shard/maintenance_scheduler.hpp"
 #include "shard/sharded_map.hpp"
-#include "stm/runtime.hpp"
 
 namespace bench = sftree::bench;
 namespace shard = sftree::shard;
@@ -39,10 +24,6 @@ namespace {
 
 // K < N whenever N allows it; a single shard necessarily gets one worker.
 int workersFor(int shards) { return std::clamp(shards / 2, 1, 4); }
-
-const char* domainModeName(shard::DomainMode mode) {
-  return mode == shard::DomainMode::PerShard ? "per-shard" : "shared";
-}
 
 }  // namespace
 
@@ -56,17 +37,6 @@ int main(int argc, char** argv) {
     }
   }
   const int threads = static_cast<int>(cli.integer("threads", 4));
-  // --modes=shared,per-shard (default both): which clock layouts to run.
-  std::vector<shard::DomainMode> modes;
-  {
-    std::stringstream ss(cli.str("modes", "shared,per-shard"));
-    std::string tok;
-    while (std::getline(ss, tok, ',')) {
-      if (tok == "shared") modes.push_back(shard::DomainMode::Shared);
-      else if (tok == "per-shard") modes.push_back(shard::DomainMode::PerShard);
-      else { std::fprintf(stderr, "unknown --modes value: %s\n", tok.c_str()); return 1; }
-    }
-  }
   const double updatePct = cli.real("updates", 20.0);
   const double movePct = cli.real("moves", 2.0);
   const int durationMs = static_cast<int>(cli.integer("duration-ms", 200));
@@ -74,8 +44,7 @@ int main(int argc, char** argv) {
 
   std::printf("Shard scaling: Opt-SFtree shards, shared maintenance pool "
               "(K < N workers), %d app threads, %.0f%% updates of which "
-              "%.0f points are cross-shard moves; shared vs per-shard STM "
-              "clock domains\n",
+              "%.0f points are cross-shard moves\n",
               threads, updatePct, movePct);
 
   bench::JsonReport json("shard_scaling");
@@ -86,102 +55,67 @@ int main(int argc, char** argv) {
       .set("duration_ms", durationMs)
       .set("size_log", sizeLog);
 
-  bench::Table table({"shards", "domains", "workers", "ops/us", "commits/us",
+  bench::Table table({"shards", "workers", "ops/us", "commits/us",
                       "eff-upd%", "abort%", "maint passes", "rotations",
                       "removals"});
 
   for (const int shards : shardCounts) {
-    for (const auto mode : modes) {
-      const int workers = workersFor(shards);
+    const int workers = workersFor(shards);
 
-      shard::MaintenanceSchedulerConfig schedCfg;
-      schedCfg.workers = workers;
-      shard::MaintenanceScheduler scheduler(schedCfg);
+    shard::MaintenanceSchedulerConfig schedCfg;
+    schedCfg.workers = workers;
+    shard::MaintenanceScheduler scheduler(schedCfg);
 
-      shard::ShardedMapConfig mapCfg;
-      mapCfg.shards = shards;
-      mapCfg.scheduler = &scheduler;
-      mapCfg.tree.ops = trees::OpsVariant::Optimized;
-      mapCfg.domainMode = mode;
-      // Keep the two layouts on identical STM configurations: stmConfig
-      // only reaches per-shard domains, so the shared layout's domain (the
-      // process default here) is configured explicitly.
-      stm::Config stmCfg;
-      stmCfg.lockMode = stm::LockMode::Lazy;
-      mapCfg.stmConfig = stmCfg;
-      if (mode == shard::DomainMode::Shared) {
-        stm::defaultDomain().setConfig(stmCfg);
-      }
-      shard::ShardedMap map(mapCfg);
+    shard::ShardedMapConfig mapCfg;
+    mapCfg.shards = shards;
+    mapCfg.scheduler = &scheduler;
+    mapCfg.tree.ops = trees::OpsVariant::Optimized;
+    shard::ShardedMap map(mapCfg);
 
-      bench::RunConfig cfg;
-      cfg.initialSize = std::int64_t{1} << sizeLog;
-      cfg.workload.keyRange = cfg.initialSize * 2;
-      cfg.workload.updatePercent = updatePct - movePct;  // moves are updates
-      cfg.workload.movePercent = movePct;
-      cfg.threads = threads;
-      cfg.durationMs = durationMs;
-      cfg.statsDomains = map.domains();
+    bench::RunConfig cfg;
+    cfg.initialSize = std::int64_t{1} << sizeLog;
+    cfg.workload.keyRange = cfg.initialSize * 2;
+    cfg.workload.updatePercent = updatePct - movePct;  // moves are updates
+    cfg.workload.movePercent = movePct;
+    cfg.threads = threads;
+    cfg.durationMs = durationMs;
 
-      bench::populate(map, cfg);
-      const auto result = bench::runThroughput(map, cfg);
-      const auto schedStats = scheduler.stats();
-      const auto mapStats = map.aggregatedStats();
+    bench::populate(map, cfg);
+    const auto result = bench::runThroughput(map, cfg);
+    const auto schedStats = scheduler.stats();
+    const auto mapStats = map.aggregatedStats();
 
-      const double commitsPerUs =
-          result.seconds == 0.0
-              ? 0.0
-              : static_cast<double>(result.stm.commits) /
-                    (result.seconds * 1e6);
+    const double commitsPerUs =
+        result.seconds == 0.0
+            ? 0.0
+            : static_cast<double>(result.stm.commits) /
+                  (result.seconds * 1e6);
 
-      table.addRow({bench::Table::num(shards), domainModeName(mode),
-                    bench::Table::num(workers),
-                    bench::Table::num(result.opsPerMicrosecond()),
-                    bench::Table::num(commitsPerUs),
-                    bench::Table::num(result.effectiveUpdateRatio()),
-                    bench::Table::num(100.0 * result.stm.abortRatio()),
-                    bench::Table::num(schedStats.passes),
-                    bench::Table::num(mapStats.maintenance.rotations),
-                    bench::Table::num(mapStats.maintenance.removals)});
+    table.addRow({bench::Table::num(shards), bench::Table::num(workers),
+                  bench::Table::num(result.opsPerMicrosecond()),
+                  bench::Table::num(commitsPerUs),
+                  bench::Table::num(result.effectiveUpdateRatio()),
+                  bench::Table::num(100.0 * result.stm.abortRatio()),
+                  bench::Table::num(schedStats.passes),
+                  bench::Table::num(mapStats.maintenance.rotations),
+                  bench::Table::num(mapStats.maintenance.removals)});
 
-      // Per-clock-domain commit/abort breakdown (one domain in shared
-      // mode, one per shard otherwise).
-      std::string domainCommits;
-      std::string domainAborts;
-      for (std::size_t i = 0; i < mapStats.domainStats.size(); ++i) {
-        if (i > 0) {
-          domainCommits += ",";
-          domainAborts += ",";
-        }
-        domainCommits += std::to_string(mapStats.domainStats[i].commits);
-        domainAborts += std::to_string(mapStats.domainStats[i].aborts);
-      }
-      if (mode == shard::DomainMode::PerShard) {
-        std::printf("  [%d shards, per-shard domains] commits per domain: %s"
-                    " | aborts per domain: %s\n",
-                    shards, domainCommits.c_str(), domainAborts.c_str());
-      }
-
-      json.addRecord()
-          .set("shards", shards)
-          .set("domain_mode", domainModeName(mode))
-          .set("workers", workers)
-          .set("ops_per_us", result.opsPerMicrosecond())
-          .set("total_ops", result.totalOps)
-          .set("commits", result.stm.commits)
-          .set("commits_per_us", commitsPerUs)
-          .set("effective_update_ratio", result.effectiveUpdateRatio())
-          .set("abort_ratio", result.stm.abortRatio())
-          .set("per_domain_commits", domainCommits)
-          .set("per_domain_aborts", domainAborts)
-          .set("maintenance_passes", schedStats.passes)
-          .set("active_passes", schedStats.activePasses)
-          .set("backoff_skips", schedStats.backoffSkips)
-          .set("signal_wakeups", schedStats.signalWakeups)
-          .set("rotations", mapStats.maintenance.rotations)
-          .set("removals", mapStats.maintenance.removals)
-          .set("size_estimate", mapStats.sizeEstimate);
-    }
+    json.addRecord()
+        .set("shards", shards)
+        .set("workers", workers)
+        .set("ops_per_us", result.opsPerMicrosecond())
+        .set("total_ops", result.totalOps)
+        .set("commits", result.stm.commits)
+        .set("commits_per_us", commitsPerUs)
+        .set("effective_update_ratio", result.effectiveUpdateRatio())
+        .set("abort_ratio", result.stm.abortRatio())
+        .set("maintenance_passes", schedStats.passes)
+        .set("active_passes", schedStats.activePasses)
+        .set("backoff_skips", schedStats.backoffSkips)
+        .set("signal_wakeups", schedStats.signalWakeups)
+        .set("rotations", mapStats.maintenance.rotations)
+        .set("removals", mapStats.maintenance.removals)
+        .set("size_estimate", mapStats.sizeEstimate);
   }
   table.print();
   return json.writeFile(cli.jsonPath()) ? 0 : 1;

@@ -1,15 +1,15 @@
 // Sharded map: partitioning the key space over several speculation-friendly
-// trees whose restructuring shares one small maintenance worker pool, with
-// one STM clock domain per shard.
+// trees whose restructuring shares one small maintenance worker pool, all
+// on one STM clock domain.
 //
 //   $ ./examples/example_sharded_map
 //
-// Demonstrates: building a ShardedMap on a shared MaintenanceScheduler with
-// per-shard clock domains, concurrent use, atomic cross-shard moves (one
-// transaction spanning two clock domains), consistent range counts that
-// span every shard, and the whole observability surface — every subsystem
-// registers a snapshot source with one MetricsRegistry and the text
-// exporter renders the merged view (maintenance, scheduler, per-domain STM
+// Demonstrates: building a ShardedMap on a shared MaintenanceScheduler,
+// concurrent use, atomic cross-shard moves (one transaction spanning two
+// trees), consistent range counts that span every shard, and the whole
+// observability surface — every subsystem registers a snapshot source with
+// one MetricsRegistry and the text exporter renders the merged view
+// (maintenance, scheduler, domain STM
 // counters with the abort-cause taxonomy, per-slot load gauges, re-shard
 // mechanics) instead of each example hand-formatting its own dump.
 #include <cstdio>
@@ -37,9 +37,6 @@ int main() {
   shard::ShardedMapConfig cfg;
   cfg.shards = 4;
   cfg.scheduler = &scheduler;
-  // Each shard commits against its own version clock: single-key
-  // transactions on different shards share no STM metadata at all.
-  cfg.domainMode = shard::DomainMode::PerShard;
   shard::ShardedMap map(cfg);
 
   // --- basics ---------------------------------------------------------------
@@ -85,8 +82,8 @@ int main() {
 
   // --- dynamic re-sharding --------------------------------------------------
   // The shard count is not fixed: splitShard moves half a hot shard's
-  // routing slots onto a fresh tree (and clock domain) under live traffic,
-  // mergeShards migrates a cold shard away and retires its tree + domain.
+  // routing slots onto a fresh tree under live traffic, mergeShards
+  // migrates a cold shard away and retires its tree.
   // ReshardController automates both from the load gauges above; here the
   // mechanism is driven directly.
   const std::size_t before = map.size();
@@ -105,18 +102,12 @@ int main() {
   // covers aggregated maintenance + violation queues, the summed STM
   // counters with the per-cause abort taxonomy, the per-slot load gauges,
   // and the re-shard mechanics (keys migrated, table publishes, the
-  // migration-batch latency histogram). Per-shard clock domains register
-  // individually, so each shard's commit/abort traffic is visible in
-  // isolation — the whole point of per-shard domains.
+  // migration-batch latency histogram), plus the map's clock domain.
   obs::MetricsRegistry registry;
   const auto mapReg = map.registerMetrics(registry, "map");
   const auto schedReg = scheduler.registerMetrics(registry, "scheduler");
-  std::vector<obs::MetricsRegistry::Registration> domainRegs;
-  const auto domains = map.domains();
-  for (std::size_t i = 0; i < domains.size(); ++i) {
-    domainRegs.push_back(obs::registerDomainMetrics(
-        registry, "domain." + std::to_string(i), *domains[i]));
-  }
+  const auto domainReg =
+      obs::registerDomainMetrics(registry, "domain", map.domain());
   std::printf("\nmetrics (%zu sources, text exporter; renderJson() / "
               "renderPrometheus() emit the same names):\n",
               registry.sourceCount());

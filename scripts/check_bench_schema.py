@@ -128,10 +128,9 @@ def check_readpath(top) -> None:
 
 
 SHARD_SCALING_KEYS = [
-    "shards", "domain_mode", "workers", "ops_per_us", "commits_per_us",
-    "effective_update_ratio", "abort_ratio", "per_domain_commits",
-    "per_domain_aborts", "maintenance_passes", "rotations", "removals",
-    "size_estimate",
+    "shards", "workers", "ops_per_us", "commits_per_us",
+    "effective_update_ratio", "abort_ratio", "maintenance_passes",
+    "rotations", "removals", "size_estimate",
 ]
 
 

@@ -27,9 +27,8 @@ RunResult runThroughput(trees::ITransactionalMap& map, const RunConfig& cfg) {
     std::uint64_t attempted = 0;
   };
 
-  std::vector<stm::Domain*> domains = cfg.statsDomains;
-  if (domains.empty()) domains.push_back(&stm::defaultDomain());
-  for (stm::Domain* d : domains) d->resetStats();
+  stm::Domain& domain = stm::defaultDomain();
+  domain.resetStats();
 
   std::atomic<bool> stop{false};
   std::barrier sync(cfg.threads + 1);
@@ -81,7 +80,7 @@ RunResult runThroughput(trees::ITransactionalMap& map, const RunConfig& cfg) {
     result.effectiveUpdates += c.effective;
     result.attemptedUpdates += c.attempted;
   }
-  for (stm::Domain* d : domains) result.stm += d->aggregateStats();
+  result.stm = domain.aggregateStats();
   return result;
 }
 

@@ -20,10 +20,6 @@ struct RunConfig {
   int durationMs = 200;
   std::int64_t initialSize = 1 << 12;  // paper: 2^12 elements
   std::uint64_t seed = 42;
-  // Clock domains whose statistics the run resets before and aggregates
-  // after (e.g. ShardedMap::domains() for a per-shard-domain map). Empty
-  // selects the process default domain.
-  std::vector<stm::Domain*> statsDomains;
 };
 
 struct RunResult {

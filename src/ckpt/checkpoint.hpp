@@ -83,8 +83,8 @@ class CheckpointWriter {
 };
 
 struct RestoreOptions {
-  // Template for the rebuilt map: scheduler, tree config, domain mode,
-  // name, stm config are honored; shards / routingSlots /
+  // Template for the rebuilt map: scheduler, tree config, domain and name
+  // are honored; shards / routingSlots /
   // initialSlotAssignment are overwritten from the manifest.
   shard::ShardedMapConfig mapConfig{};
   int parallelism = 0;        // shard-loader threads; 0 = hardware

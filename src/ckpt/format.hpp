@@ -206,8 +206,9 @@ struct Manifest {
   std::uint32_t forcedCut = 0;
   std::uint32_t rounds = 0;
   std::vector<ManifestEntry> slots;
-  // Forced-cut provenance: the cut transaction's per-domain read stamps
-  // (Tx::snapshotStamps). Empty for an optimistic (tick-certified) cut.
+  // Forced-cut provenance: the cut transaction's read stamp on the map's
+  // clock (Tx::snapshotStamp), one entry; the on-disk field is a counted
+  // list. Empty for an optimistic (tick-certified) cut.
   std::vector<std::uint64_t> cutStamps;
 
   void serialize(ByteBuf& b) const {

@@ -87,7 +87,7 @@ void SnapshotCursor::walkOne(std::vector<char>& remaining,
     // body pins a GC epoch and node garbage piles up.
     int attempts = 0;
     bool gaveUp = false;
-    stm::atomically(map_.snapshotRootDomain(), stm::TxKind::ReadOnly,
+    stm::atomically(map_.domain(), stm::TxKind::ReadOnly,
                     [&](stm::Tx& tx) {
                       if (++attempts > kMaxChunkAttempts) {
                         gaveUp = true;
@@ -251,13 +251,10 @@ SnapshotResult SnapshotCursor::capture(
         // indefinitely. The pause lasts one scan of the stale slots.
         OpFence fence(map_);
         tPre = map_.slotWriteTicks();
-        stm::atomically(map_.snapshotRootDomain(), stm::TxKind::ReadOnly,
+        stm::atomically(map_.domain(), stm::TxKind::ReadOnly,
                         [&](stm::Tx& tx) {
                           map_.snapshotAllTx(tx, pred, all);
-                          stamps.clear();
-                          for (const auto& sst : tx.snapshotStamps()) {
-                            stamps.push_back(sst.rv);
-                          }
+                          stamps.assign(1, tx.snapshotStamp().rv);
                         });
         tPost = map_.slotWriteTicks();
       }

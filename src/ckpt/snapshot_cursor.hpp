@@ -71,7 +71,7 @@ struct SnapshotResult {
   int rounds = 0;         // optimistic rounds consumed
   bool forcedCut = false;
   std::uint64_t keysStreamed = 0;
-  // Forced cut only: the cut transaction's per-domain read stamps.
+  // Forced cut only: the cut transaction's read stamp (one entry).
   std::vector<std::uint64_t> cutStamps;
 };
 

@@ -24,11 +24,11 @@ enum class AbortCause : std::uint8_t {
   // -- conflict aborts (partition ThreadStats::aborts) ------------------------
   kReadValidation = 0,   // orec read-set validation failed (snapshot extension
                          // or commit-time validation saw a newer version)
-  kLockConflict = 1,     // an orec (or the NOrec seqlock, past its bounded
-                         // spin) was held by another transaction
+  kLockConflict = 1,     // an orec was held by another transaction
   kNorecValidation = 2,  // NOrec value-log re-validation saw a changed value
   kElasticValidation = 3,  // elastic sliding-window cut validation failed
-  kCrossDomainJoin = 4,    // read-set validation at a domain join failed
+  // 4 is unassigned: the values stay fixed because trace records carry
+  // them.
   kUserRestart = 5,        // explicit tx.restart() or a user exception
                            // propagating out of the transaction body
   // -- restarts (not counted in ThreadStats::aborts) --------------------------
@@ -49,13 +49,17 @@ constexpr bool abortCauseIsRestart(AbortCause c) {
   return abortCauseIndex(c) >= kFirstRestartCause;
 }
 
+// False for the unassigned index (see the enum); metric emitters skip it.
+constexpr bool abortCauseAssigned(std::size_t i) {
+  return i < kAbortCauseCount && i != 4;
+}
+
 constexpr const char* abortCauseName(AbortCause c) {
   switch (c) {
     case AbortCause::kReadValidation: return "read_validation";
     case AbortCause::kLockConflict: return "lock_conflict";
     case AbortCause::kNorecValidation: return "norec_validation";
     case AbortCause::kElasticValidation: return "elastic_validation";
-    case AbortCause::kCrossDomainJoin: return "cross_domain_join";
     case AbortCause::kUserRestart: return "user_restart";
     case AbortCause::kRoSnapshotExtension: return "ro_snapshot_extension";
     case AbortCause::kRoPromotion: return "ro_promotion";

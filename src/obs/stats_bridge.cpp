@@ -23,6 +23,7 @@ void emitThreadStats(MetricSink& out, const std::string& prefix,
   out.counter(join(prefix, "commits"), s.commits);
   out.counter(join(prefix, "aborts"), s.aborts);
   for (std::size_t i = 0; i < kAbortCauseCount; ++i) {
+    if (!abortCauseAssigned(i)) continue;
     out.counter(join(prefix, "aborts_by_cause") + "." + abortCauseName(i),
                 s.abortsByCause[i]);
   }

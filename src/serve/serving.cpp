@@ -280,12 +280,9 @@ void ServingTier::completeOp(Executor& ex, detail::PendingOp* op) {
 void ServingTier::executeBatch(Executor& ex, detail::PendingOp* const* ops,
                                std::size_t n) {
   if (n == 0) return;
-  // Root the batch in the first key's current shard domain; the map's
-  // composable ops join further domains (and the routing domain) as the
-  // batch touches them, with the multi-domain ordered commit keeping the
-  // whole batch atomic.
-  const int si = map_.shardIndexFor(ops[0]->req.key);
-  stm::Domain& dom = map_.domainOf(si < 0 ? 0 : si);
+  // The batch runs in the map's one domain, whichever shards it touches;
+  // the single commit keeps the whole batch atomic.
+  stm::Domain& dom = map_.domain();
   // The drain loop hands over homogeneous batches (one isReadOp class), so
   // the head op decides the mode: read batches ride the zero-logging
   // read-only path, update batches take full validation (the dual-path

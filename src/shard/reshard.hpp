@@ -4,15 +4,15 @@
 // contention; this controller lifts the same feedback loop to the shard
 // layer. It periodically samples the per-shard load gauges the maintenance
 // side already collects — the violation-queue depth (backlog) and the
-// monotonic update-tick counter (traffic), plus per-domain commit/abort
-// rates in PerShard mode — and, past configurable thresholds:
+// monotonic update-tick counter (traffic) — and, past configurable
+// thresholds:
 //
 //   * splits the hottest shard when its share of the sampled load exceeds
 //     splitFactor times the fair share (and the shard count is below the
-//     ceiling), spreading the hot slots over one more tree/domain;
+//     ceiling), spreading the hot slots over one more tree;
 //   * merges the two coldest shards when their combined share falls below
 //     mergeFactor times the fair share (and the count is above the floor),
-//     retiring a tree (and, in PerShard mode, its clock domain).
+//     retiring a tree.
 //
 // The mechanism (routing-table flips, batched key migration, retirement)
 // lives in ShardedMap::splitShard/mergeShards; the controller is pure

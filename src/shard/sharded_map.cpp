@@ -38,6 +38,15 @@ inline std::uint64_t mix64(std::uint64_t x) {
 // --------------------------------------------------------------------------
 thread_local int ShardedMap::OpGuard::tlsTicketDepth_ = 0;
 
+std::size_t ShardedMap::OpGuard::threadStripe() {
+  // splitmix-mixed thread_local address: stable per thread, spread across
+  // stripes.
+  static thread_local char anchor;
+  auto a = reinterpret_cast<std::uintptr_t>(&anchor) >> 4;
+  a *= 0x9E3779B97F4A7C15ULL;
+  return static_cast<std::size_t>(a >> 32) & (kStripes - 1);
+}
+
 void ShardedMap::OpGuard::drain() {
   // Serialized flips make the parity wait a true barrier: when the lock is
   // acquired, every ticket from before the previous drain's flip has
@@ -59,7 +68,9 @@ void ShardedMap::OpGuard::drain() {
 // --------------------------------------------------------------------------
 // Construction / destruction
 // --------------------------------------------------------------------------
-ShardedMap::ShardedMap(ShardedMapConfig cfg) : cfg_(std::move(cfg)) {
+ShardedMap::ShardedMap(ShardedMapConfig cfg)
+    : cfg_(std::move(cfg)),
+      domain_(cfg_.domain != nullptr ? *cfg_.domain : stm::defaultDomain()) {
   // Hard checks, not asserts: these parameterize a modulo on every
   // operation, and release builds would die with SIGFPE instead.
   if (cfg_.shards < 1) {
@@ -83,28 +94,6 @@ ShardedMap::ShardedMap(ShardedMapConfig cfg) : cfg_(std::move(cfg)) {
             "ShardedMap: initialSlotAssignment entry out of shard range");
       }
     }
-  }
-  if (cfg_.domainMode == DomainMode::PerShard &&
-      cfg_.stmConfig.orecLogSize == stm::Config{}.orecLogSize) {
-    // Keep the *total* orec footprint at the single-domain default: each
-    // shard sees ~1/N of the address traffic, so 1/N of the stripes give
-    // the same false-conflict rate — and N full-size tables would blow
-    // the cache instead of relieving it. (Floor of 2^16 = 512 KiB.)
-    std::uint32_t logN = 0;
-    while ((1 << logN) < cfg_.shards) ++logN;
-    cfg_.stmConfig.orecLogSize =
-        std::max<std::uint32_t>(16, cfg_.stmConfig.orecLogSize - logN);
-  }
-  // The routing domain guards exactly one word (the table pointer); it
-  // must share the trees' TM backend and can run the smallest orec table.
-  {
-    stm::Config routeCfg =
-        cfg_.domainMode == DomainMode::PerShard
-            ? cfg_.stmConfig
-            : (cfg_.domain != nullptr ? cfg_.domain->config()
-                                      : stm::defaultDomain().config());
-    routeCfg.orecLogSize = 16;
-    routingDomain_ = std::make_unique<stm::Domain>(routeCfg);
   }
   const auto n = static_cast<std::size_t>(cfg_.shards);
   live_.reserve(n);
@@ -144,13 +133,9 @@ ShardedMap::~ShardedMap() {
 
 std::unique_ptr<ShardedMap::ShardRec> ShardedMap::makeShard() {
   auto rec = std::make_unique<ShardRec>();
-  if (cfg_.domainMode == DomainMode::PerShard) {
-    rec->domain = std::make_unique<stm::Domain>(cfg_.stmConfig);
-  }
   trees::SFTreeConfig treeCfg = cfg_.tree;
   if (cfg_.scheduler != nullptr) treeCfg.startMaintenance = false;
-  treeCfg.domain = cfg_.domainMode == DomainMode::PerShard ? rec->domain.get()
-                                                           : cfg_.domain;
+  treeCfg.domain = &domain_;
   rec->tree = std::make_unique<trees::SFTree>(treeCfg);
   if (cfg_.scheduler != nullptr) {
     trees::SFTree* tree = rec->tree.get();
@@ -196,16 +181,6 @@ int ShardedMap::shardIndexFor(Key k) const {
 trees::SFTree& ShardedMap::shard(int i) {
   std::lock_guard<std::mutex> lk(topoMu_);
   return *live_[static_cast<std::size_t>(i)]->tree;
-}
-
-std::vector<stm::Domain*> ShardedMap::domains() {
-  std::lock_guard<std::mutex> lk(topoMu_);
-  std::vector<stm::Domain*> out;
-  for (const auto& rec : live_) {
-    stm::Domain* d = &rec->tree->domain();
-    if (std::find(out.begin(), out.end(), d) == out.end()) out.push_back(d);
-  }
-  return out;
 }
 
 std::vector<int> ShardedMap::slotOwners() const {
@@ -323,43 +298,40 @@ std::vector<trees::SFTree*> ShardedMap::distinctTrees(const RoutingTable& t) {
 // call inside an enclosing stm::atomically runs the same body inline, so
 // the enclosing transaction inherits the deferred ticket and the
 // commit-gated estimate settlement instead of the plain wrapper's
-// call-scoped versions. The outer RAII ticket exists to keep the root
-// domain (resolved once, before the retry loop) alive across retries; the
+// call-scoped versions. The outer RAII ticket covers the non-transactional
+// table peek below and makes the body's own tickets nest; the
 // transaction kind is latched from the entry observed at op start — a
 // table flip mid-op only changes which trees the (pin-disciplined,
 // restart-guarded) dual paths compose, never their safety.
 // --------------------------------------------------------------------------
 bool ShardedMap::insert(Key k, Value v) {
   OpTicket ticket(guard_);
-  const RouteEntry e0 = table()->slots[slotOf(k)];
-  auto& st = stm::threadStats(e0.owner->domain());
+  const stm::TxKind kind = entryUpdateKind(table()->slots[slotOf(k)]);
+  auto& st = stm::threadStats(domain_);
   st.beginOp();
   const bool r = stm::atomically(
-      e0.owner->domain(), entryUpdateKind(e0),
-      [&](stm::Tx& tx) { return insertTx(tx, k, v); });
+      domain_, kind, [&](stm::Tx& tx) { return insertTx(tx, k, v); });
   st.endOp();
   return r;
 }
 
 bool ShardedMap::erase(Key k) {
   OpTicket ticket(guard_);
-  const RouteEntry e0 = table()->slots[slotOf(k)];
-  auto& st = stm::threadStats(e0.owner->domain());
+  const stm::TxKind kind = entryUpdateKind(table()->slots[slotOf(k)]);
+  auto& st = stm::threadStats(domain_);
   st.beginOp();
   const bool r = stm::atomically(
-      e0.owner->domain(), entryUpdateKind(e0),
-      [&](stm::Tx& tx) { return eraseTx(tx, k); });
+      domain_, kind, [&](stm::Tx& tx) { return eraseTx(tx, k); });
   st.endOp();
   return r;
 }
 
 bool ShardedMap::contains(Key k) {
   OpTicket ticket(guard_);
-  const RouteEntry e0 = table()->slots[slotOf(k)];
-  auto& st = stm::threadStats(e0.owner->domain());
+  auto& st = stm::threadStats(domain_);
   st.beginOp();
   const bool r = stm::atomically(
-      e0.owner->domain(), stm::TxKind::ReadOnly,
+      domain_, stm::TxKind::ReadOnly,
       [&](stm::Tx& tx) { return containsTx(tx, k); });
   st.endOp();
   return r;
@@ -367,11 +339,10 @@ bool ShardedMap::contains(Key k) {
 
 std::optional<Value> ShardedMap::get(Key k) {
   OpTicket ticket(guard_);
-  const RouteEntry e0 = table()->slots[slotOf(k)];
-  auto& st = stm::threadStats(e0.owner->domain());
+  auto& st = stm::threadStats(domain_);
   st.beginOp();
   const auto r = stm::atomically(
-      e0.owner->domain(), stm::TxKind::ReadOnly,
+      domain_, stm::TxKind::ReadOnly,
       [&](stm::Tx& tx) { return getTx(tx, k); });
   st.endOp();
   return r;
@@ -455,20 +426,16 @@ bool ShardedMap::move(Key from, Key to) {
 
   // One flat-nested transaction spanning every involved tree (same-shard
   // moves just compose against one). The STM commit makes the erase and
-  // the insert visible atomically — with per-shard domains via the
-  // descriptor's multi-domain commit (all domains' locks held, per-domain
-  // timestamps) — so no reader can observe the key at both shards or at
-  // neither. Rooting the transaction in the source shard's domain keeps
-  // the common path cheap; further domains are joined on first touch.
-  // Normal when a migrating slot is involved (see entryUpdateKind).
+  // the insert visible atomically, so no reader can observe the key at
+  // both shards or at neither. Normal when a migrating slot is involved
+  // (see entryUpdateKind).
   const stm::TxKind kind = (f0.prev != nullptr || to0.prev != nullptr)
                                ? stm::TxKind::Normal
                                : f0.owner->updateTxKind();
-  auto& st = stm::threadStats(f0.owner->domain());
+  auto& st = stm::threadStats(domain_);
   st.beginOp();
-  const bool r =
-      stm::atomically(f0.owner->domain(), kind,
-                      [&](stm::Tx& tx) { return moveTx(tx, from, to); });
+  const bool r = stm::atomically(
+      domain_, kind, [&](stm::Tx& tx) { return moveTx(tx, from, to); });
   st.endOp();
   return r;
 }
@@ -536,16 +503,14 @@ std::size_t ShardedMap::countRangeTx(stm::Tx& tx, Key lo, Key hi) {
 
 std::size_t ShardedMap::countRange(Key lo, Key hi) {
   OpTicket ticket(guard_);
-  auto& st = stm::threadStats(homeDomain());
+  auto& st = stm::threadStats(domain_);
   st.beginOp();
   // ReadOnly unconditionally (never elastic — countRange promises a
-  // consistent snapshot): with per-shard domains the zero-logging mode
-  // verifies the already-touched shards' clocks at each join (and
-  // transparently promotes to a logged read-write transaction if writers
-  // keep moving them), so the common quiet case logs nothing across all
-  // shards.
+  // consistent snapshot): the zero-logging mode logs nothing across all
+  // shards in the common quiet case, and transparently promotes to a
+  // logged read-write transaction if writers keep invalidating it.
   const auto r = stm::atomically(
-      homeDomain(), stm::TxKind::ReadOnly,
+      domain_, stm::TxKind::ReadOnly,
       [&](stm::Tx& tx) { return countRangeTx(tx, lo, hi); });
   st.endOp();
   return r;
@@ -628,7 +593,7 @@ void ShardedMap::publishTable(std::unique_ptr<RoutingTable> next) {
   // validation of the pinned table read and retries against `next`.
   const RoutingTable* old = tableTx_.loadAcquire();
   const RoutingTable* fresh = next.release();
-  stm::atomically(*routingDomain_, stm::TxKind::Normal,
+  stm::atomically(domain_, stm::TxKind::Normal,
                   [&](stm::Tx& tx) { tableTx_.write(tx, fresh); });
   if (obs::traceEnabled()) {
     obs::trace(obs::TraceKind::kTablePublish, fresh->version,
@@ -663,8 +628,7 @@ void ShardedMap::migrateSlots(trees::SFTree* src, trees::SFTree* dst,
 
   // Phase 2: batched range moves. Each batch extracts up to migrationBatch
   // matching present keys from src (one amortized in-order walk, logical
-  // deletes) and adopts them into dst inside the same — cross-domain, when
-  // the shards' clocks differ — transaction.
+  // deletes) and adopts them into dst inside the same transaction.
   std::vector<bool> moved(static_cast<std::size_t>(cfg_.routingSlots), false);
   for (const int s : movedSlots) moved[static_cast<std::size_t>(s)] = true;
   const auto pred = [&](Key k) { return moved[slotOf(k)]; };
@@ -680,18 +644,13 @@ void ShardedMap::migrateSlots(trees::SFTree* src, trees::SFTree* dst,
   // collided with live traffic inside its conflict window — halve the next
   // batch to narrow the window; two consecutive clean batches double it
   // back toward the configured ceiling. Migration runs on this thread, so
-  // the thread's own conflict-abort counters on the involved domains
-  // isolate exactly this batch's aborts (see docs/observability.md on the
+  // the thread's own conflict-abort counter on the map's domain isolates
+  // exactly this batch's aborts (see docs/observability.md on the
   // single-writer thread-stats discipline).
   std::size_t batchSize = cfg_.migrationBatch;
   const std::size_t minBatch = std::min<std::size_t>(8, cfg_.migrationBatch);
   int cleanStreak = 0;
-  const bool crossDomain = &src->domain() != &dst->domain();
-  const auto myAborts = [&]() -> std::uint64_t {
-    std::uint64_t a = stm::threadStats(src->domain()).conflictAbortTotal();
-    if (crossDomain) a += stm::threadStats(dst->domain()).conflictAbortTotal();
-    return a;
-  };
+  stm::ThreadStats& myStats = stm::threadStats(domain_);
   for (bool done = false; !done;) {
     Key nextLo = cursor;
     // Per-slot content is conserved by a migration batch (keys move
@@ -705,10 +664,10 @@ void ShardedMap::migrateSlots(trees::SFTree* src, trees::SFTree* dst,
       bumpSlotWriteTick(static_cast<std::size_t>(s));
     }
     const std::uint64_t abortsBefore =
-        cfg_.adaptiveMigrationBatch ? myAborts() : 0;
+        cfg_.adaptiveMigrationBatch ? myStats.conflictAbortTotal() : 0;
     const std::uint64_t batchStart = obs::tick();
     const std::size_t adopted = stm::atomically(
-        src->domain(), stm::TxKind::Normal, [&](stm::Tx& tx) -> std::size_t {
+        domain_, stm::TxKind::Normal, [&](stm::Tx& tx) -> std::size_t {
           const bool complete = src->extractRangeTx(
               tx, cursor, batchSize, pred, batch, nextLo);
           done = complete;
@@ -730,7 +689,7 @@ void ShardedMap::migrateSlots(trees::SFTree* src, trees::SFTree* dst,
       reshardStats_.migrationBatchNs.record(batchNs);
     }
     if (cfg_.adaptiveMigrationBatch) {
-      if (myAborts() != abortsBefore) {
+      if (myStats.conflictAbortTotal() != abortsBefore) {
         cleanStreak = 0;
         if (batchSize > minBatch) {
           batchSize = std::max(minBatch, batchSize / 2);
@@ -843,8 +802,7 @@ bool ShardedMap::mergeShards(int victimIdx, int targetIdx) {
 
   // Retirement. After the settled-table drain no operation can reach the
   // victim; what may remain is its maintenance (unregister blocks until the
-  // in-flight pass finishes) and, in PerShard mode, transactions that
-  // joined its domain — the domain census gates on those.
+  // in-flight pass finishes).
   std::unique_ptr<ShardRec> retired;
   {
     std::lock_guard<std::mutex> lk(topoMu_);
@@ -862,7 +820,6 @@ bool ShardedMap::mergeShards(int victimIdx, int targetIdx) {
   } else {
     retired->tree->stopMaintenance();
   }
-  if (retired->domain != nullptr) retired->domain->awaitQuiescence();
   {
     // The arena's slabs are freed wholesale with the tree; record what the
     // retirement drains.
@@ -875,7 +832,7 @@ bool ShardedMap::mergeShards(int victimIdx, int targetIdx) {
         static_cast<std::uint64_t>(std::max<std::int64_t>(
             0, arena.liveBlocks()));
   }
-  retired.reset();  // tree (and domain, PerShard) destroyed here
+  retired.reset();  // tree destroyed here
   return true;
 }
 
@@ -963,16 +920,7 @@ std::int64_t ShardedMap::sizeEstimate() const {
 ShardedMapStats ShardedMap::aggregatedStats() const {
   std::lock_guard<std::mutex> lk(topoMu_);
   ShardedMapStats out;
-  // One STM snapshot per distinct clock domain.
-  if (cfg_.domainMode == DomainMode::PerShard) {
-    out.domainStats.reserve(live_.size());
-    for (const auto& rec : live_) {
-      out.domainStats.push_back(rec->domain->aggregateStats());
-    }
-  } else {
-    out.domainStats.push_back(live_.front()->tree->domain().aggregateStats());
-  }
-  for (const auto& d : out.domainStats) out.stm += d;
+  out.stm = domain_.aggregateStats();
   out.shardSizeEstimates.reserve(live_.size());
   out.shardQueueDepths.reserve(live_.size());
   out.shardUpdateTicks.reserve(live_.size());

@@ -5,14 +5,10 @@
 // restructuring, paper §3); the shards' maintenance is multiplexed onto a
 // shared MaintenanceScheduler worker pool instead of N dedicated rotator
 // threads. Single-key operations touch exactly one shard, so transactions
-// on different shards share no tree nodes; with per-shard clock domains
-// (DomainMode::PerShard) they share no STM metadata either — each shard
-// owns a full stm::Domain, so the shards scale like N independent trees
-// with no residual version-clock contention. Cross-shard operations (move,
-// countRange, sizeTx) compose the per-shard transactional pieces inside one
-// flat-nested transaction; when shards live on different clock domains the
-// descriptor joins every touched domain and commits with per-domain
-// timestamps under an ordered multi-domain acquisition (see docs/stm.md),
+// on different shards share no tree nodes. Every shard and the routing
+// table run on one stm::Domain (the map's domain), so cross-shard
+// operations (move, countRange, sizeTx) compose the per-shard
+// transactional pieces inside one flat-nested, single-clock transaction,
 // which keeps them atomic across shards.
 //
 // --- Dynamic re-sharding ---------------------------------------------------
@@ -21,19 +17,17 @@
 // a fixed number of routing *slots*; an immutable, epoch-published routing
 // table maps each slot to its owning tree. splitShard() moves half of a hot
 // shard's slots onto a fresh tree; mergeShards() moves all of a cold
-// shard's slots onto a sibling and retires the empty tree (and, in PerShard
-// mode, its clock domain). Migration runs in bounded batched range moves
-// (SFTree::extractRangeTx + adoptRangeTx) inside ordinary cross-domain
-// transactions, so every key is owned by exactly one committed shard at any
-// instant; while a slot migrates its table entry carries both trees and
-// lookups check the pair inside one transaction. The routing-table pointer
-// itself is transactional state in a map-owned routing domain — operations
-// read it inside their transaction and republication is a transactional
-// write, so route staleness is ordinary STM conflict. Memory reclamation
-// (old tables, retired trees) is additionally guarded by an epoch-parity
-// operation census (OpGuard) plus the domain's in-flight transaction
-// census (stm::Domain::awaitQuiescence). See docs/sharding.md ("Dynamic
-// re-sharding").
+// shard's slots onto a sibling and retires the empty tree. Migration runs in
+// bounded batched range moves (SFTree::extractRangeTx + adoptRangeTx)
+// inside ordinary transactions, so every key is owned by exactly one
+// committed shard at any instant; while a slot migrates its table entry
+// carries both trees and lookups check the pair inside one transaction.
+// The routing-table pointer itself is transactional state in the map's
+// domain — operations read it inside their transaction and republication
+// is a transactional write, so route staleness is ordinary STM conflict.
+// Memory reclamation (old tables, retired trees) is additionally guarded
+// by an epoch-parity operation census (OpGuard). See docs/sharding.md
+// ("Dynamic re-sharding").
 #pragma once
 
 #include <atomic>
@@ -55,13 +49,6 @@
 
 namespace sftree::shard {
 
-// Which STM clock domain(s) the shards commit against. Shared keeps every
-// shard on one domain (cross-shard operations stay single-clock); PerShard
-// gives each shard its own domain (single-key throughput scales further,
-// cross-shard operations pay the multi-domain commit). See
-// docs/sharding.md for guidance.
-enum class DomainMode : std::uint8_t { Shared, PerShard };
-
 struct ShardedMapConfig {
   int shards = 4;
   // Routing granularity: keys hash onto this many slots, slots map to
@@ -71,34 +58,29 @@ struct ShardedMapConfig {
   // (slightly) larger routing table per lookup.
   int routingSlots = 64;
   // Keys moved per migration transaction during a split/merge. Larger
-  // batches amortize the cross-domain commit better but widen the conflict
-  // window against concurrent mutators.
+  // batches amortize the commit better but widen the conflict window
+  // against concurrent mutators.
   std::size_t migrationBatch = 64;
   // Adapt the batch size to observed abort pressure (AIMD): each migration
   // batch that aborted at least once before committing halves the next
   // batch (floor min(8, migrationBatch)); two consecutive clean batches
   // double it back toward the configured ceiling. The abort signal is the
-  // migrating thread's own conflict-abort counters on the involved domains
+  // migrating thread's own conflict-abort counter on the map's domain
   // (migration runs on the caller thread, so the delta isolates the batch).
   bool adaptiveMigrationBatch = true;
   // Per-shard tree configuration. When a scheduler is supplied,
   // tree.startMaintenance is ignored: shards are built externally
   // maintained and registered with the scheduler instead. tree.domain is
-  // overridden according to domainMode.
+  // overridden by `domain` below.
   trees::SFTreeConfig tree{};
   // Shared maintenance pool (not owned; must outlive the map). When null,
   // every shard runs its own dedicated maintenance thread, as in the paper.
   MaintenanceScheduler* scheduler = nullptr;
   // Prefix for the shards' scheduler entries (diagnostics).
   std::string name = "shard";
-  // STM clock domain layout (see above).
-  DomainMode domainMode = DomainMode::Shared;
-  // Shared mode: the domain every shard runs on (not owned; must outlive
-  // the map); null selects the process default.
+  // The STM clock domain every shard and the routing table run on (not
+  // owned; must outlive the map); null selects the process default.
   stm::Domain* domain = nullptr;
-  // PerShard mode: the configuration each owned per-shard domain is
-  // constructed with.
-  stm::Config stmConfig{};
   // Restore-time topology: explicit slot -> shard assignment for the
   // initial routing table (ckpt::restore rebuilds the checkpointed
   // slot layout before bulk-loading each shard, so the restored map starts
@@ -130,11 +112,9 @@ struct ShardedMapStats {
   // the traffic lands — including retried attempts, like updateTicks — not
   // committed mutations. Indexed by slot, size == routingSlots.
   std::vector<std::uint64_t> slotOpTicks;
-  // STM statistics per clock domain: one entry per shard in PerShard mode,
-  // a single entry for the shared domain otherwise. Snapshots are exact
-  // only while no transactions are in flight.
-  std::vector<stm::ThreadStats> domainStats;
-  stm::ThreadStats stm;  // sum over domainStats
+  // STM statistics of the map's domain (everything else running on that
+  // domain included). Exact only while no transactions are in flight.
+  stm::ThreadStats stm;
 };
 
 // Re-sharding mechanism counters (lifetime totals).
@@ -218,16 +198,9 @@ class ShardedMap final : public trees::ITransactionalMap {
   // while no concurrent split/merge can retire it (tests / quiesced use).
   trees::SFTree& shard(int i);
 
-  // The clock domain shard i commits against (shard i's own domain in
-  // PerShard mode; the shared one otherwise).
-  stm::Domain& domainOf(int i) { return shard(i).domain(); }
-  bool perShardDomains() const {
-    return cfg_.domainMode == DomainMode::PerShard;
-  }
-  // Every distinct domain the map's transactions touch (deduplicated; one
-  // entry in Shared mode, one per live shard in PerShard mode). Useful for
-  // resetting/aggregating statistics around a benchmark run.
-  std::vector<stm::Domain*> domains();
+  // The one clock domain every shard and the routing table run on. A
+  // transaction that composes the map's *Tx operations must run in it.
+  stm::Domain& domain() const { return domain_; }
 
   // Committed-size estimate summed over the shards; exact once all
   // operations have returned (like SFTree::sizeEstimate).
@@ -247,7 +220,7 @@ class ShardedMap final : public trees::ITransactionalMap {
   std::vector<ShardLoadSample> loadSamples() const;
 
   // Splits shard `idx`: half of its routing slots migrate onto a freshly
-  // created tree (and domain, in PerShard mode) while traffic continues.
+  // created tree while traffic continues.
   // Slot selection is load-aware: the shard's slots are ranked by their
   // slotOpTicks traffic gauges and the alternating ranks (hottest first)
   // move, so the split peels the *hot* slots onto the fresh shard and both
@@ -258,8 +231,8 @@ class ShardedMap final : public trees::ITransactionalMap {
   // stale/out of range.
   int splitShard(int idx);
   // Migrates every slot of shard `victimIdx` onto shard `targetIdx`, then
-  // retires the empty tree (unregisters maintenance, awaits domain
-  // quiescence in PerShard mode, frees the arena wholesale). Returns false
+  // retires the empty tree (unregisters maintenance, frees the arena
+  // wholesale). Returns false
   // when either index is stale/out of range or they are equal.
   bool mergeShards(int victimIdx, int targetIdx);
 
@@ -333,11 +306,6 @@ class ShardedMap final : public trees::ITransactionalMap {
   // proven shape as countRangeTx (one serialization point over the map).
   void snapshotAllTx(stm::Tx& tx, const std::function<bool(Key)>& pred,
                      std::vector<trees::SFTree::ExtractedKV>& out);
-  // The domain checkpoint transactions root in (the routing domain: every
-  // chunk joins it first through routeTx anyway; tree domains are joined
-  // per touch).
-  stm::Domain& snapshotRootDomain() { return *routingDomain_; }
-
   // Registers a snapshot source emitting aggregatedStats() (map totals,
   // summed maintenance, STM counters + abort taxonomy), reshardStats()
   // (including the migration-batch latency histogram), and the per-slot
@@ -403,7 +371,7 @@ class ShardedMap final : public trees::ITransactionalMap {
         } while (fence_.load(std::memory_order_acquire));
       }
       ++tlsTicketDepth_;
-      const std::size_t s = stm::threadStripe(kStripes);
+      const std::size_t s = threadStripe();
       for (;;) {
         const std::uint64_t e = epoch_.load(std::memory_order_seq_cst);
         std::atomic<std::uint64_t>& c = stripes_[s].n[e & 1];
@@ -434,6 +402,8 @@ class ShardedMap final : public trees::ITransactionalMap {
 
    private:
     static constexpr std::size_t kStripes = 16;
+    // The calling thread's stripe (stable per thread).
+    static std::size_t threadStripe();
     struct alignas(64) Stripe {
       std::atomic<std::uint64_t> n[2] = {{0}, {0}};
     };
@@ -467,10 +437,8 @@ class ShardedMap final : public trees::ITransactionalMap {
     OpGuard::Ticket t_;
   };
 
-  // One live shard: the tree, its owned clock domain (PerShard mode), and
-  // its scheduler registration.
+  // One live shard: the tree and its scheduler registration.
   struct ShardRec {
-    std::unique_ptr<stm::Domain> domain;  // null in Shared mode
     std::unique_ptr<trees::SFTree> tree;
     MaintenanceScheduler::TreeHandle handle =
         MaintenanceScheduler::kInvalidHandle;
@@ -490,17 +458,18 @@ class ShardedMap final : public trees::ITransactionalMap {
   void bumpSlotWriteTick(std::size_t slot) {
     slotWriteTicks_[slot].fetch_add(1, std::memory_order_seq_cst);
   }
-  // Non-transactional peek (root-domain/kind selection, diagnostics,
+  // Non-transactional peek (transaction-kind selection, diagnostics,
   // quiesced walks). Transactional bodies must use routeTx instead.
   const RoutingTable* table() const { return tableTx_.loadAcquire(); }
-  // The transactional route read: joins the routing domain and reads the
-  // table pointer, pinned (elastic window cuts must never evict it). Every
+  // The transactional route read: the table pointer, pinned (elastic window
+  // cuts must never evict it), after checking the caller's transaction runs
+  // in the map's domain (see Tx::requireDomain). Every
   // operation body calls this once per attempt, which also guarantees a
   // zero-logging read-only attempt always has a first read before any tree
   // read — so a stale later read restarts the body (re-resolving the
   // route) instead of sliding the snapshot under a stale one.
   const RoutingTable* routeTx(stm::Tx& tx) {
-    stm::DomainScope scope(tx, *routingDomain_);
+    tx.requireDomain(domain_);
     return tableTx_.readPinned(tx);
   }
 
@@ -543,23 +512,15 @@ class ShardedMap final : public trees::ITransactionalMap {
   std::vector<bool> pauseAllMaintenance();
   void resumeAllMaintenance(const std::vector<bool>& wasRunning);
 
-  // The domain map-level (multi-shard) transactions are rooted in: the
-  // first slot's owner (the remaining domains are joined as the
-  // transaction touches them).
-  stm::Domain& homeDomain() { return table()->slots.front().owner->domain(); }
-
   ShardedMapConfig cfg_;
+  stm::Domain& domain_;  // cfg_.domain, or the process default
   // Serializes split/merge against each other and against the quiesced
   // introspection walks. Ordered before topoMu_.
   mutable std::mutex reshardMu_;
   // Guards live_ (the shard list). Never held while waiting on drains.
   mutable std::mutex topoMu_;
-  // Dedicated clock domain guarding exactly one word: the routing-table
-  // pointer. Read-shared by every operation, written only at publications
-  // (rare), so it adds no write contention; it must share the trees' TM
-  // backend (one transaction spans both). Declared before the shards so it
-  // outlives their teardown.
-  std::unique_ptr<stm::Domain> routingDomain_;
+  // The routing-table pointer, in the map's domain: read-shared (pinned) by
+  // every operation, written only at publications.
   stm::TxField<const RoutingTable*> tableTx_{nullptr};
   std::vector<std::unique_ptr<ShardRec>> live_;
   mutable OpGuard guard_;  // const accessors take tickets too

@@ -66,8 +66,7 @@ struct Config {
   // TinySTM-scale default). A process running many domains should shrink
   // each domain's table: a domain that guards 1/N of the address traffic
   // needs 1/N of the stripes for the same false-conflict rate, and the
-  // combined tables otherwise blow the cache (ShardedMap does this
-  // automatically for per-shard domains).
+  // combined tables otherwise blow the cache.
   std::uint32_t orecLogSize = 20;
 };
 

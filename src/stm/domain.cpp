@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <mutex>
-#include <thread>
 
 namespace sftree::stm {
 
@@ -51,21 +50,6 @@ void retireThreadSlots(std::vector<std::shared_ptr<StatsSlot>>& slots) {
 }
 
 }  // namespace detail
-
-std::size_t threadStripe(std::size_t stripes) {
-  static thread_local char anchor;
-  auto a = reinterpret_cast<std::uintptr_t>(&anchor) >> 4;
-  a *= 0x9E3779B97F4A7C15ULL;
-  return static_cast<std::size_t>(a >> 32) & (stripes - 1);
-}
-
-bool Domain::awaitQuiescence(std::uint64_t maxSpins) {
-  for (std::uint64_t spin = 0; txInFlight() != 0; ++spin) {
-    if (spin >= maxSpins) return false;
-    std::this_thread::yield();
-  }
-  return true;
-}
 
 Domain::~Domain() {
   std::lock_guard<std::mutex> lk(detail::registryMu());

@@ -3,16 +3,13 @@
 // A Domain owns every piece of process-global TM metadata the singleton
 // runtime used to hold: the TL2/TinySTM version clock, the orec table, the
 // NOrec global sequence lock, the configuration, and the per-thread
-// statistics registry. Independent data structures can now run on
-// independent domains, so their commits no longer contend on one shared
-// clock cache line — the sharded map gives each shard its own domain and
-// scales like N separate trees.
+// statistics registry. Independent data structures can run on independent
+// domains, so their commits do not contend on one shared clock cache line.
 //
-// A single transaction may span several domains (e.g. a cross-shard move):
-// the descriptor keeps one snapshot per domain it touches and commits with
-// per-domain timestamps under an ordered multi-domain lock acquisition (see
-// tx.hpp and docs/stm.md). All domains joined by one transaction must use
-// the same TM backend.
+// A transaction runs in exactly one domain: everything one transaction
+// touches (a sharded map's trees and its routing table, a serving batch,
+// a checkpoint cut) must live in the same domain. Touching another
+// domain's structure from inside a transaction throws (Tx::requireDomain).
 //
 // `defaultDomain()` is the process-wide default every legacy call site maps
 // onto; single-tree users never need to name a domain.
@@ -31,12 +28,6 @@
 namespace sftree::stm {
 
 class Domain;
-
-// The calling thread's stripe for striped counter censuses (stable per
-// thread; splitmix-mixed thread_local address). `stripes` must be a power
-// of two. Shared by Domain's transaction census and ShardedMap's
-// operation census so the hashing cannot silently diverge.
-std::size_t threadStripe(std::size_t stripes);
 
 namespace detail {
 
@@ -66,8 +57,6 @@ void retireThreadSlots(std::vector<std::shared_ptr<StatsSlot>>& slots);
 class Domain {
  public:
   explicit Domain(Config cfg = {}) : orecs_(cfg.orecLogSize), config_(cfg) {}
-  // Striped in-flight transaction census (see txEnter below).
-  static constexpr std::size_t kTxStripes = 16;
   // Detaches every live statistics slot (threads that used this domain may
   // outlive it; their slots must not dangle into freed memory).
   ~Domain();
@@ -99,52 +88,17 @@ class Domain {
   // Zeroes every registered slot's counters (quiescent use only).
   void resetStats();
 
-  // --- retirement / quiescence ----------------------------------------------
-  // In-flight transaction census: every attempt that roots in or joins this
-  // domain holds a +1 between Tx::begin/enterDomain and the end of the
-  // attempt (commit or abort, after the final validation reads). The
-  // counters are striped by thread so the census costs one RMW on a mostly
-  // thread-private line per attempt, not a shared hot line — the whole point
-  // of per-shard domains is *not* sharing such a line.
-  void txEnter() {
-    txInFlight_[threadStripe(kTxStripes)].n.fetch_add(
-        1, std::memory_order_acq_rel);
-  }
-  void txExit() {
-    txInFlight_[threadStripe(kTxStripes)].n.fetch_sub(
-        1, std::memory_order_release);
-  }
-  // Racy sum; exact (and stable) only once nothing can start a new
-  // transaction against this domain.
-  std::uint64_t txInFlight() const {
-    std::uint64_t sum = 0;
-    for (const auto& s : txInFlight_) sum += s.n.load(std::memory_order_acquire);
-    return sum;
-  }
-  // Retirement gate: blocks until no transaction is in flight against this
-  // domain. Only meaningful after the caller has made the domain
-  // unreachable for *new* transactions (e.g. ShardedMap republished its
-  // routing table and drained the op guard) — with new entries excluded,
-  // a zero census is stable and the domain (and the structures on it) can
-  // be destroyed. Returns false if maxSpins elapsed first.
-  bool awaitQuiescence(std::uint64_t maxSpins = ~std::uint64_t{0});
-
  private:
   friend detail::StatsSlot* detail::attachSlotFor(
       Domain&, std::vector<std::shared_ptr<detail::StatsSlot>>&);
   friend void detail::retireThreadSlots(
       std::vector<std::shared_ptr<detail::StatsSlot>>&);
 
-  struct alignas(64) TxStripe {
-    std::atomic<std::uint64_t> n{0};
-  };
-
   GlobalClock clock_;
   OrecTable orecs_;
   Config config_;
   alignas(64) std::atomic<std::uint64_t> norecSeq_{0};
   alignas(64) std::atomic<std::uint64_t> writebackActive_{0};
-  TxStripe txInFlight_[kTxStripes];
 
   // Guarded by the global slot registry mutex (domain.cpp).
   std::vector<std::shared_ptr<detail::StatsSlot>> live_;

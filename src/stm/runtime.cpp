@@ -88,7 +88,7 @@ void backoff(Tx& tx) {
   // Deliberate restarts (RO snapshot refresh, RO->RW promotion) are not
   // conflicts; waiting would only delay the fresh snapshot.
   if (tx.consumeBackoffWaiver()) return;
-  const Config& cfg = tx.rootDomain().config();
+  const Config& cfg = tx.domain().config();
   const std::uint32_t shift = std::min<std::uint32_t>(tx.attempts(), 16);
   std::uint64_t ceiling = std::uint64_t{cfg.backoffMinSpins} << shift;
   ceiling = std::min<std::uint64_t>(ceiling, cfg.backoffMaxSpins);

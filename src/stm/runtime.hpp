@@ -22,10 +22,10 @@ struct ThreadContext {
   std::unique_ptr<Tx> tx;
   std::vector<std::shared_ptr<StatsSlot>> slots;
   // Direct-mapped slot cache keyed on the domain pointer: a thread driving
-  // a per-shard map alternates domains on every operation, so a single
-  // most-recently-used entry would miss almost always. Entries self-
-  // invalidate (a dead domain nulls its slots' back-pointers), so a stale
-  // entry can never alias a new domain at the same address.
+  // several maps on their own domains alternates domains between
+  // operations, so a single most-recently-used entry would thrash. Entries
+  // self-invalidate (a dead domain nulls its slots' back-pointers), so a
+  // stale entry can never alias a new domain at the same address.
   static constexpr std::size_t kSlotCacheSize = 16;  // power of two
   StatsSlot* slotCache[kSlotCacheSize] = {};
 

@@ -7,10 +7,9 @@
 // Transactions retry automatically on conflict with randomized exponential
 // backoff. Nested atomically() calls are flattened into the enclosing
 // transaction (flat nesting), which is what makes composed operations such
-// as the tree `move` (paper §5.4) atomic and deadlock-free. A nested call
-// against a *different* domain joins that domain into the enclosing
-// transaction (multi-domain commit; see tx.hpp and docs/stm.md) — this is
-// how a cross-shard move spans two per-shard clock domains atomically.
+// as the tree `move` (paper §5.4) atomic and deadlock-free. A transaction
+// runs in exactly one domain: a nested call against a *different* domain
+// throws std::logic_error, which aborts the enclosing transaction.
 #pragma once
 
 #include <type_traits>
@@ -32,10 +31,9 @@ auto atomically(Domain& d, TxKind kind, F&& fn)
   detail::ThreadContext& ctx = detail::context();
   Tx& tx = ctx.acquire();
   if (tx.active()) {
-    // Flat nesting: run inline as part of the enclosing transaction,
-    // scoped to `d` (joining it if the transaction has not touched it
-    // yet). An abort unwinds to the outermost retry loop.
-    DomainScope scope(tx, d);
+    // Flat nesting: run inline as part of the enclosing transaction, which
+    // must run in `d`. An abort unwinds to the outermost retry loop.
+    tx.requireDomain(d);
     return fn(tx);
   }
   ThreadStats& stats = ctx.statsFor(d);

@@ -1,9 +1,8 @@
 #include "stm/tx.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <numeric>
+#include <stdexcept>
 
 #include "obs/clock.hpp"
 #include "obs/trace.hpp"
@@ -39,18 +38,11 @@ inline void cpuRelax() {
 #endif
 }
 
-// Bound on waiting for another domain's NOrec writer while this transaction
-// itself holds one or more sequence locks. Two cross-domain writers waiting
-// for each other's lock would otherwise spin forever; past the bound the
-// younger wait aborts (randomized backoff then breaks the symmetry).
-constexpr std::uint64_t kNorecHeldSpinLimit = 1 << 12;
-
 }  // namespace
 
 Tx::Tx() {
   readSet_.reserve(256);
   writeSet_.reserve(64);
-  views_.reserve(4);
 }
 
 Tx::~Tx() = default;
@@ -78,24 +70,21 @@ void Tx::begin(Domain& d, TxKind kind, ThreadStats& stats) {
   pendingUreads_ = 0;
   norecRoPending_ = 0;
   abortIsRestart_ = false;
-  views_.clear();
-  views_.push_back(DomainView{&d});
-  curView_ = 0;
-  d.txEnter();  // released by exitDomainsInFlight at attempt end
+  domain_ = &d;
+  roFast_ = false;
   if (backend_ == TmBackend::NOrec) {
     // NOrec has no per-location metadata; elastic windows do not apply.
     elasticPhase_ = false;
     // Snapshot: wait until no writer holds the domain's sequence lock.
-    views_[0].rv = norecWaitEven(d);
+    rv_ = norecWaitEven(d);
   } else {
     elasticPhase_ = (kind == TxKind::Elastic);
-    views_[0].rv = d.clock().now();
+    rv_ = d.clock().now();
     if (ro_) {
       // The clock fast path is only sound when no committer that ticked
       // before our snapshot is still writing back (its stores would be
       // invisible to the clock-equality check).
-      views_[0].roFast =
-          d.writebackActive().load(std::memory_order_acquire) == 0;
+      roFast_ = d.writebackActive().load(std::memory_order_acquire) == 0;
     }
   }
   readSet_.clear();
@@ -119,70 +108,18 @@ void Tx::begin(Domain& d, TxKind kind, ThreadStats& stats) {
   ++attempts_;
 }
 
-std::size_t Tx::enterDomain(Domain& d) {
-  assert(active_ && "DomainScope requires an active transaction");
-  const std::size_t prev = curView_;
-  if (views_[curView_].domain == &d) return prev;
-  for (std::size_t i = 0; i < views_.size(); ++i) {
-    if (views_[i].domain == &d) {
-      curView_ = i;
-      return prev;
-    }
-  }
-  // Join a new clock domain mid-transaction with a fresh snapshot. The
-  // join is a snapshot *advance* in real time: the new domain's clock may
-  // already reflect cross-domain commits that invalidated reads this
-  // transaction performed earlier, so — exactly like a snapshot extension —
-  // everything read so far must be revalidated before any value from the
-  // new snapshot becomes visible. Without this, a reader could see the old
-  // half of a cross-domain commit in one domain and the new half in the
-  // other.
-  assert(d.config().backend == backend_ &&
-         "all domains joined by one transaction must share a TM backend");
-  DomainView v{&d};
-  v.rv = (backend_ == TmBackend::NOrec) ? norecWaitEven(d) : d.clock().now();
-  if (ro_ && backend_ == TmBackend::Orec) {
-    v.roFast = d.writebackActive().load(std::memory_order_acquire) == 0;
-    // Zero-logging mode has no read set to revalidate. The join is still a
-    // snapshot advance, so it is only sound if no domain we already read
-    // from has committed since its snapshot — the clocks and write-back
-    // gates stand in for the read set, and they are checked *after* the
-    // new snapshot is taken: if the new rv includes any tick of a
-    // cross-domain commit, that committer raised every gate before its
-    // first tick, so we either see its gate or (once it finished) its
-    // tick in the touched domain. A hit restarts the op body at fresh
-    // snapshots.
-    for (const DomainView& tv : views_) {
-      if (tv.roTouched &&
-          (tv.domain->clock().now() != tv.rv ||
-           tv.domain->writebackActive().load(std::memory_order_acquire) !=
-               0)) {
-        stats_->onRoSnapshotExtension();
-        roRestart();
-      }
-    }
-  }
-  // Enter the census only once the view is recorded: exitDomainsInFlight
-  // releases exactly the domains present in views_, and both the RO
-  // restart above and push_back itself (allocation) may throw — txEnter is
-  // the one step here that cannot.
-  views_.push_back(v);
-  d.txEnter();  // released by exitDomainsInFlight at attempt end
-  curView_ = views_.size() - 1;
-  if (backend_ == TmBackend::NOrec) {
-    if (!valueLog_.empty()) norecValidate(obs::AbortCause::kCrossDomainJoin);
-  } else if (!readSet_.empty() || !window_.empty()) {
-    if (!validateReadSet()) abortSelf(obs::AbortCause::kCrossDomainJoin);
-  }
-  return prev;
-}
-
 [[noreturn]] void Tx::abortSelf(obs::AbortCause cause) {
   abortCause_ = cause;
   throw TxAbort{};
 }
 
 [[noreturn]] void Tx::restart() { abortSelf(obs::AbortCause::kUserRestart); }
+
+[[noreturn]] void Tx::throwWrongDomain() const {
+  throw std::logic_error(
+      "stm: a transaction runs in exactly one domain; this operation is "
+      "bound to a different stm::Domain than the enclosing transaction");
+}
 
 void Tx::finishAttempt(bool committed) {
   if (timed_ && stats_ != nullptr) {
@@ -193,7 +130,7 @@ void Tx::finishAttempt(bool committed) {
     const obs::TraceKind kind = committed        ? obs::TraceKind::kTxCommit
                                 : abortIsRestart_ ? obs::TraceKind::kTxRestart
                                                   : obs::TraceKind::kTxAbort;
-    obs::trace(kind, reinterpret_cast<std::uint64_t>(views_.front().domain),
+    obs::trace(kind, reinterpret_cast<std::uint64_t>(domain_),
                attempts_, static_cast<std::uint8_t>(abortCause_),
                static_cast<std::uint16_t>(kind_));
   }
@@ -202,7 +139,6 @@ void Tx::finishAttempt(bool committed) {
 void Tx::onAbort() {
   releaseHeldLocks(/*restoreOldVersion=*/true);
   endWritebacks();
-  releaseNorecSeqLocks();
   // LIFO: a speculative allocation may depend on an earlier one (a node
   // carved from a speculatively created structure's arena); roll back in
   // reverse registration order so dependents are freed before owners.
@@ -223,14 +159,9 @@ void Tx::onAbort() {
   } else if (stats_ != nullptr) {
     stats_->onAbort(abortCause_);
   }
-  exitDomainsInFlight();
   active_ = false;
   runTxEndHooks();
   runSettledHooks();
-}
-
-void Tx::exitDomainsInFlight() {
-  for (const DomainView& v : views_) v.domain->txExit();
 }
 
 void Tx::onAbortDelete(void* ptr, void (*deleter)(void*)) {
@@ -333,8 +264,7 @@ Tx::SampledWord Tx::sampleCommitted(const Word* addr,
         // We hold the lock (eager mode). Memory still has the committed
         // value because writes are buffered until commit.
         WriteEntry* we = findLockedByOrec(orec);
-        return {atomicLoadWord(addr),
-                we ? we->prevVersion : views_[curView_].rv};
+        return {atomicLoadWord(addr), we ? we->prevVersion : rv_};
       }
       if (spinOnLock) {
         cpuRelax();
@@ -374,48 +304,43 @@ Tx::SampledWord Tx::sampleCommitted(const Word* addr,
 }
 
 Word Tx::roRead(const Word* addr) {
-  DomainView& v = views_[curView_];
   // Fast path: if the domain's clock still equals the snapshot, the value
   // just loaded cannot contain any post-snapshot write-back — a committer
   // ticks the clock *before* writing back, and the write-back's release
   // store paired with our acquire fence makes the tick visible with the
   // data. The read is then consistent at rv with no orec probe at all
   // (the orec table is 8 MiB of cold lines; the clock is one hot line).
-  if (v.roFast) {
+  if (roFast_) {
     const Word fast = atomicLoadWord(addr);
     std::atomic_thread_fence(std::memory_order_acquire);
-    if (v.domain->clock().now() == v.rv) {
-      v.roTouched = true;
+    if (domain_->clock().now() == rv_) {
       ++pendingReads_;
       return fast;
     }
     // The clock is monotonic and rv is pinned: once it moved, the fast
     // path cannot succeed again until a free snapshot slide renews it.
-    v.roFast = false;
+    roFast_ = false;
   }
   // The clock moved past the snapshot: validate this read against its orec
   // (location unchanged since rv => still consistent at rv).
-  std::atomic<OrecWord>* orec = v.domain->orecs().forAddress(addr);
+  std::atomic<OrecWord>* orec = domain_->orecs().forAddress(addr);
   for (;;) {
     SampledWord s = sampleCommitted(addr, orec, /*spinOnLock=*/false);
-    if (s.version <= v.rv) {
+    if (s.version <= rv_) {
       // The location has not changed since the snapshot: the value is part
       // of a consistent state at rv. Nothing is logged.
-      v.roTouched = true;
       ++pendingReads_;
       return s.value;
     }
     stats_->onRoSnapshotExtension();
     if (pendingReads_ == 0) {
-      // Nothing read yet anywhere: sliding this view's snapshot forward is
-      // free (the RO analogue of a successful snapshot extension). The
-      // write-back gate must be sampled *after* the clock: a committer
-      // whose tick the new snapshot includes raised its gate before that
-      // tick, so this order either sees the gate or the committer has
-      // finished.
-      v.rv = v.domain->clock().now();
-      v.roFast =
-          v.domain->writebackActive().load(std::memory_order_acquire) == 0;
+      // Nothing read yet: sliding the snapshot forward is free (the RO
+      // analogue of a successful snapshot extension). The write-back gate
+      // must be sampled *after* the clock: a committer whose tick the new
+      // snapshot includes raised its gate before that tick, so this order
+      // either sees the gate or the committer has finished.
+      rv_ = domain_->clock().now();
+      roFast_ = domain_->writebackActive().load(std::memory_order_acquire) == 0;
       continue;
     }
     // Earlier zero-logging reads cannot be revalidated; re-read the clock
@@ -439,8 +364,7 @@ Word Tx::read(const Word* addr) {
     }
   }
   if (backend_ == TmBackend::NOrec) return norecRead(addr);
-  DomainView& v = views_[curView_];
-  std::atomic<OrecWord>* orec = v.domain->orecs().forAddress(addr);
+  std::atomic<OrecWord>* orec = domain_->orecs().forAddress(addr);
 
   if (elasticPhase_) {
     // Hand-over-hand: the new read must be consistent with the (at most
@@ -448,17 +372,17 @@ Word Tx::read(const Word* addr) {
     SampledWord s = sampleCommitted(addr, orec, /*spinOnLock=*/false);
     elasticValidateWindow();
     elasticRecord(orec, s.version);
-    if (s.version > v.rv) v.rv = s.version;
+    if (s.version > rv_) rv_ = s.version;
     ++pendingReads_;
     return s.value;
   }
 
   for (;;) {
     SampledWord s = sampleCommitted(addr, orec, /*spinOnLock=*/false);
-    if (s.version > v.rv) {
-      // The location is newer than our snapshot of its domain: try to slide
-      // the snapshot forward (lazy snapshot extension) and re-sample.
-      extendSnapshot(curView_);
+    if (s.version > rv_) {
+      // The location is newer than our snapshot: try to slide the snapshot
+      // forward (lazy snapshot extension) and re-sample.
+      extendSnapshot();
       continue;
     }
     readSet_.push_back(ReadEntry{orec, s.version});
@@ -475,12 +399,11 @@ Word Tx::readPinned(const Word* addr) {
   // entry in the permanent read set instead of the sliding window, so no
   // later cut can evict it before the first write folds the window in.
   if (backend_ == TmBackend::NOrec) return norecRead(addr);
-  DomainView& v = views_[curView_];
-  std::atomic<OrecWord>* orec = v.domain->orecs().forAddress(addr);
+  std::atomic<OrecWord>* orec = domain_->orecs().forAddress(addr);
   SampledWord s = sampleCommitted(addr, orec, /*spinOnLock=*/false);
   elasticValidateWindow();
   readSet_.push_back(ReadEntry{orec, s.version});
-  if (s.version > v.rv) v.rv = s.version;
+  if (s.version > rv_) rv_ = s.version;
   ++pendingReads_;
   return s.value;
 }
@@ -494,8 +417,7 @@ Word Tx::uread(const Word* addr) {
     }
   }
   if (backend_ == TmBackend::NOrec) return norecUread(addr);
-  std::atomic<OrecWord>* orec =
-      views_[curView_].domain->orecs().forAddress(addr);
+  std::atomic<OrecWord>* orec = domain_->orecs().forAddress(addr);
   SampledWord s = sampleCommitted(addr, orec, /*spinOnLock=*/true);
   ++pendingUreads_;
   return s.value;
@@ -522,9 +444,8 @@ void Tx::write(Word* addr, Word value) {
       return;
     }
   }
-  WriteEntry we{addr, value,
-                views_[curView_].domain->orecs().forAddress(addr),
-                /*prevVersion=*/0, /*locked=*/false, /*view=*/curView_};
+  WriteEntry we{addr, value, domain_->orecs().forAddress(addr),
+                /*prevVersion=*/0, /*locked=*/false};
   if (backend_ == TmBackend::Orec && cfg_.lockMode == LockMode::Eager) {
     acquireOrecForWrite(we);
   }
@@ -540,23 +461,22 @@ void Tx::write(Word* addr, Word value) {
 }
 
 void Tx::acquireOrecForWrite(WriteEntry& we) {
-  DomainView& v = views_[we.view];
   for (;;) {
     OrecWord cur = we.orec->load(std::memory_order_acquire);
     if (orec::isLocked(cur)) {
       if (orec::owner(cur) == this) {
         // Another write entry of ours already owns this orec stripe.
         WriteEntry* holder = findLockedByOrec(we.orec);
-        we.prevVersion = holder ? holder->prevVersion : v.rv;
+        we.prevVersion = holder ? holder->prevVersion : rv_;
         we.locked = false;
         return;
       }
       abortSelf(obs::AbortCause::kLockConflict);
     }
-    if (orec::version(cur) > v.rv) {
+    if (orec::version(cur) > rv_) {
       // Keep the snapshot consistent so read-after-write on this stripe is
       // safe; extension aborts us if the read set is stale.
-      extendSnapshot(we.view);
+      extendSnapshot();
       continue;
     }
     if (we.orec->compare_exchange_weak(cur, orec::makeLocked(this),
@@ -589,15 +509,10 @@ bool Tx::validateReadSet() const {
   return true;
 }
 
-void Tx::extendSnapshot(std::size_t viewIdx) {
-  DomainView& v = views_[viewIdx];
-  const std::uint64_t now = v.domain->clock().now();
-  // The whole read set — including entries from other domains — must still
-  // hold: this is what keeps a multi-domain snapshot globally consistent
-  // (a cross-domain commit that invalidated any earlier read is caught
-  // here before the extension makes its effects readable).
+void Tx::extendSnapshot() {
+  const std::uint64_t now = domain_->clock().now();
   if (!validateReadSet()) abortSelf(obs::AbortCause::kReadValidation);
-  v.rv = now;
+  rv_ = now;
   stats_->onSnapshotExtension();
 }
 
@@ -638,41 +553,27 @@ void Tx::releaseHeldLocks(bool restoreOldVersion) {
     if (!we.locked) continue;
     const OrecWord out = restoreOldVersion
                              ? orec::makeVersion(we.prevVersion)
-                             : orec::makeVersion(views_[we.view].wv);
+                             : orec::makeVersion(wv_);
     we.orec->store(out, std::memory_order_release);
     we.locked = false;
   }
 }
 
 void Tx::endWritebacks() {
-  for (auto& v : views_) {
-    if (!v.wbActive) continue;
-    v.wbActive = false;
-    v.domain->writebackActive().fetch_sub(1, std::memory_order_release);
-  }
+  if (!wbActive_) return;
+  wbActive_ = false;
+  domain_->writebackActive().fetch_sub(1, std::memory_order_release);
 }
 
-void Tx::releaseNorecSeqLocks() {
-  for (auto& v : views_) {
-    if (!v.seqLocked) continue;
-    // Nothing was written back: restoring the pre-lock sequence value marks
-    // the domain free with its snapshot unchanged.
-    v.domain->norecSeq().store(v.rv, std::memory_order_release);
-    v.seqLocked = false;
-  }
-}
-
-std::vector<std::size_t> Tx::writingViewsInOrder() const {
-  std::vector<std::size_t> order;
-  for (const auto& we : writeSet_) {
-    if (std::find(order.begin(), order.end(), we.view) == order.end()) {
-      order.push_back(we.view);
-    }
-  }
-  std::sort(order.begin(), order.end(), [this](std::size_t a, std::size_t b) {
-    return views_[a].domain < views_[b].domain;
-  });
-  return order;
+void Tx::finishCommit() {
+  speculativeAllocs_.clear();  // committed: ownership transferred
+  flushReadStats();
+  stats_->onCommit();
+  if (ro_) stats_->onRoCommit();
+  finishAttempt(/*committed=*/true);
+  active_ = false;
+  runTxEndHooks();
+  runCommitAndSettledHooks();
 }
 
 void Tx::commit() {
@@ -684,112 +585,29 @@ void Tx::commit() {
   if (writeSet_.empty()) {
     // Read-only: every read was validated against the snapshot (normal /
     // zero-logging RO) or hand-over-hand (elastic); nothing to publish.
-    // This holds across domains too: any read that post-dated a
-    // cross-domain commit forced an extension (or an RO restart), which
-    // revalidated every domain's entries.
-    speculativeAllocs_.clear();  // committed: caller keeps ownership
-    flushReadStats();
-    stats_->onCommit();
-    if (ro_) stats_->onRoCommit();
-    finishAttempt(/*committed=*/true);
-    exitDomainsInFlight();
-    active_ = false;
-    runTxEndHooks();
-    runCommitAndSettledHooks();
+    finishCommit();
     return;
   }
 
-  const bool singleDomain = views_.size() == 1;
-
   if (cfg_.lockMode == LockMode::Lazy) {
-    // Commit-time locking: acquire every write orec now. Multi-domain
-    // transactions acquire domain-by-domain in canonical (pointer) order —
-    // combined with never *waiting* on a held orec (conflicts abort), the
-    // acquisition phase is deadlock-free by construction. The common
-    // single-domain case walks the write set in insertion order without
-    // building an index.
-    const auto lockEntry = [this](WriteEntry& we) {
-      DomainView& v = views_[we.view];
-      for (;;) {
-        OrecWord cur = we.orec->load(std::memory_order_acquire);
-        if (orec::isLocked(cur)) {
-          // Owned by someone else (self-ownership is impossible here: all
-          // our locks come from earlier iterations, which are deduplicated
-          // by the caller). Abort and retry with backoff.
-          abortSelf(obs::AbortCause::kLockConflict);
-        }
-        if (orec::version(cur) > v.rv) {
-          extendSnapshot(we.view);
-          continue;
-        }
-        if (we.orec->compare_exchange_weak(cur, orec::makeLocked(this),
-                                           std::memory_order_acq_rel,
-                                           std::memory_order_relaxed)) {
-          we.prevVersion = orec::version(cur);
-          we.locked = true;
-          return;
-        }
-      }
-    };
-    // One dedup+lock loop serves both orders: an earlier-acquired entry on
-    // the same orec stripe (found via the locked-orec lookup — O(1) once
-    // the index is active) donates its prevVersion instead of re-locking.
-    const auto acquireInOrder = [&](auto indexAt) {
-      for (std::size_t p = 0; p < writeSet_.size(); ++p) {
-        const std::size_t pos = indexAt(p);
-        WriteEntry& we = writeSet_[pos];
-        if (const WriteEntry* holder = findLockedByOrec(we.orec)) {
-          we.prevVersion = holder->prevVersion;
-          continue;
-        }
-        lockEntry(we);
-        noteOrecLocked(pos);
-      }
-    };
-    if (singleDomain) {
-      acquireInOrder([](std::size_t p) { return p; });
-    } else {
-      std::vector<std::size_t> acq(writeSet_.size());
-      std::iota(acq.begin(), acq.end(), std::size_t{0});
-      std::stable_sort(acq.begin(), acq.end(),
-                       [this](std::size_t a, std::size_t b) {
-                         return views_[writeSet_[a].view].domain <
-                                views_[writeSet_[b].view].domain;
-                       });
-      acquireInOrder([&acq](std::size_t p) { return acq[p]; });
+    // Commit-time locking: acquire every write orec now, in insertion
+    // order. Never *waiting* on a held orec (conflicts abort) keeps the
+    // acquisition deadlock-free. An entry whose stripe an earlier entry
+    // already locked takes that holder's prevVersion instead of re-locking.
+    for (std::size_t pos = 0; pos < writeSet_.size(); ++pos) {
+      acquireOrecForWrite(writeSet_[pos]);
+      if (writeSet_[pos].locked) noteOrecLocked(pos);
     }
   }
 
-  // Per-domain commit timestamps: tick every written domain's clock while
-  // all write locks are held, in the same canonical order. Each written
-  // domain's write-back gate goes up before its tick (so zero-logging
-  // readers never pair our tick with a half-done write-back) and comes
-  // down after the locks are released.
-  if (singleDomain) {
-    views_[0].domain->writebackActive().fetch_add(1,
-                                                  std::memory_order_acq_rel);
-    views_[0].wbActive = true;
-    views_[0].wv = views_[0].domain->clock().tick();
-    if (views_[0].rv + 1 != views_[0].wv) {
-      // Someone committed since our snapshot; the read set must still hold.
-      if (!validateReadSet()) abortSelf(obs::AbortCause::kReadValidation);
-    }
-  } else {
-    // All write-back gates must be up before the *first* tick: a
-    // zero-logging reader that observes any of our ticks must be able to
-    // see a raised gate on every domain we write, or it could pair the
-    // already-ticked half of this commit with the not-yet-ticked half.
-    const std::vector<std::size_t> order = writingViewsInOrder();
-    for (const std::size_t idx : order) {
-      views_[idx].domain->writebackActive().fetch_add(
-          1, std::memory_order_acq_rel);
-      views_[idx].wbActive = true;
-    }
-    for (const std::size_t idx : order) {
-      views_[idx].wv = views_[idx].domain->clock().tick();
-    }
-    // The single-domain rv+1 == wv shortcut does not compose across
-    // clocks; a multi-domain commit always validates.
+  // The write-back gate goes up before the tick (so zero-logging readers
+  // never pair our tick with a half-done write-back) and comes down after
+  // the locks are released.
+  domain_->writebackActive().fetch_add(1, std::memory_order_acq_rel);
+  wbActive_ = true;
+  wv_ = domain_->clock().tick();
+  if (rv_ + 1 != wv_) {
+    // Someone committed since our snapshot; the read set must still hold.
     if (!validateReadSet()) abortSelf(obs::AbortCause::kReadValidation);
   }
   for (const WriteEntry& we : writeSet_) {
@@ -797,26 +615,17 @@ void Tx::commit() {
   }
   releaseHeldLocks(/*restoreOldVersion=*/false);
   endWritebacks();
-  speculativeAllocs_.clear();  // published: ownership transferred
-  flushReadStats();
-  stats_->onCommit();
-  finishAttempt(/*committed=*/true);
-  exitDomainsInFlight();
-  active_ = false;
-  runTxEndHooks();
-  runCommitAndSettledHooks();
+  finishCommit();
 }
 
 // --- NOrec backend (Dalessandro, Spear, Scott — PPoPP 2010) ----------------
 // One sequence lock per domain; reads log (address, value) pairs and
-// revalidate by re-reading whenever a joined domain's sequence number
-// moves; writers publish under the lock(s). No per-location metadata at
-// all. Cross-domain commits take every written domain's sequence lock in
-// canonical order before writing back.
+// revalidate by re-reading whenever the sequence number moves; writers
+// publish under the lock. No per-location metadata at all.
 
 // Batched RO validation for *scalar* reads: log the value optimistically
-// and check the sequence locks only once every norecRoBatch reads (plus at
-// every domain join and at commit) instead of per read. A value observed
+// and check the sequence lock only once every norecRoBatch reads (plus at
+// commit) instead of per read. A value observed
 // while a writer is mid-publish is caught by the value-based revalidation
 // at the next batch boundary, and no read escapes the transaction without
 // a validation point after it (norecCommit flushes the tail) — the
@@ -835,7 +644,7 @@ Word Tx::norecReadScalar(const Word* addr) {
   if (!(ro_ && cfg_.norecRoBatch > 1)) return norecRead(addr);
   const Word value = std::atomic_ref<Word>(*const_cast<Word*>(addr))
                          .load(std::memory_order_acquire);
-  valueLog_.push_back(ValueEntry{addr, value, curView_});
+  valueLog_.push_back(ValueEntry{addr, value});
   ++pendingReads_;
   if (++norecRoPending_ >= cfg_.norecRoBatch) norecRoFlushValidation();
   return value;
@@ -853,14 +662,13 @@ Word Tx::norecRead(const Word* addr) {
   for (;;) {
     const Word value = atomicLoadWord(addr);
     std::atomic_thread_fence(std::memory_order_acquire);
-    DomainView& v = views_[curView_];
-    if (v.domain->norecSeq().load(std::memory_order_acquire) == v.rv) {
-      valueLog_.push_back(ValueEntry{addr, value, curView_});
+    if (domain_->norecSeq().load(std::memory_order_acquire) == rv_) {
+      valueLog_.push_back(ValueEntry{addr, value});
       ++pendingReads_;
       return value;
     }
-    // A writer committed since our snapshot of this domain: revalidate the
-    // whole log (all domains) and re-sample.
+    // A writer committed since our snapshot: revalidate the whole log and
+    // re-sample.
     norecValidate();
   }
 }
@@ -868,7 +676,7 @@ Word Tx::norecRead(const Word* addr) {
 Word Tx::norecUread(const Word* addr) {
   // A unit load only needs a committed value of this single word: sample
   // the domain's sequence lock around the load.
-  std::atomic<std::uint64_t>& seq = views_[curView_].domain->norecSeq();
+  std::atomic<std::uint64_t>& seq = domain_->norecSeq();
   for (;;) {
     const std::uint64_t s1 = seq.load(std::memory_order_acquire);
     if ((s1 & 1) != 0) {
@@ -886,42 +694,18 @@ Word Tx::norecUread(const Word* addr) {
 
 void Tx::norecRoFlushValidation() {
   norecRoPending_ = 0;
-  for (const DomainView& v : views_) {
-    if (v.domain->norecSeq().load(std::memory_order_acquire) != v.rv) {
-      // A writer committed somewhere since the snapshot: fall back to the
-      // full value-based revalidation (aborts on mismatch, else refreshes
-      // every view's snapshot — the RO analogue of a snapshot extension).
-      stats_->onRoSnapshotExtension();
-      norecValidate();
-      return;
-    }
+  if (domain_->norecSeq().load(std::memory_order_acquire) != rv_) {
+    // A writer committed since the snapshot: fall back to the full
+    // value-based revalidation (aborts on mismatch, else refreshes the
+    // snapshot — the RO analogue of a snapshot extension).
+    stats_->onRoSnapshotExtension();
+    norecValidate();
   }
 }
 
-void Tx::norecValidate(obs::AbortCause mismatchCause) {
-  bool holdingLocks = false;
-  for (const auto& v : views_) holdingLocks |= v.seqLocked;
-  seqSnap_.resize(views_.size());
+void Tx::norecValidate() {
   for (;;) {
-    for (std::size_t i = 0; i < views_.size(); ++i) {
-      DomainView& v = views_[i];
-      if (v.seqLocked) continue;  // frozen by us: cannot move
-      std::uint64_t spins = 0;
-      for (;;) {
-        const std::uint64_t s =
-            v.domain->norecSeq().load(std::memory_order_acquire);
-        if ((s & 1) == 0) {
-          seqSnap_[i] = s;
-          break;
-        }
-        // While we hold sequence locks ourselves, waiting unboundedly for
-        // another domain's writer could deadlock with a writer waiting for
-        // ours; bound the wait and abort (backoff breaks the symmetry).
-        if (holdingLocks && ++spins > kNorecHeldSpinLimit)
-          abortSelf(obs::AbortCause::kLockConflict);
-        cpuRelax();
-      }
-    }
+    const std::uint64_t s = norecWaitEven(*domain_);
     bool ok = true;
     for (const ValueEntry& e : valueLog_) {
       if (atomicLoadWord(e.addr) != e.value) {
@@ -930,20 +714,9 @@ void Tx::norecValidate(obs::AbortCause mismatchCause) {
       }
     }
     std::atomic_thread_fence(std::memory_order_acquire);
-    bool moved = false;
-    for (std::size_t i = 0; i < views_.size(); ++i) {
-      if (views_[i].seqLocked) continue;
-      if (views_[i].domain->norecSeq().load(std::memory_order_relaxed) !=
-          seqSnap_[i]) {
-        moved = true;
-        break;
-      }
-    }
-    if (moved) continue;
-    if (!ok) abortSelf(mismatchCause);
-    for (std::size_t i = 0; i < views_.size(); ++i) {
-      if (!views_[i].seqLocked) views_[i].rv = seqSnap_[i];
-    }
+    if (domain_->norecSeq().load(std::memory_order_relaxed) != s) continue;
+    if (!ok) abortSelf(obs::AbortCause::kNorecValidation);
+    rv_ = s;
     norecRoPending_ = 0;  // everything logged was just revalidated
     return;
   }
@@ -955,65 +728,23 @@ void Tx::norecCommit() {
     // validation point. Batched RO reads past that point are flushed here,
     // so the commit itself is the final validation point.
     if (ro_ && norecRoPending_ != 0) norecRoFlushValidation();
-    speculativeAllocs_.clear();
-    flushReadStats();
-    stats_->onCommit();
-    if (ro_) stats_->onRoCommit();
-    finishAttempt(/*committed=*/true);
-    exitDomainsInFlight();
-    active_ = false;
-    runTxEndHooks();
-    runCommitAndSettledHooks();
+    finishCommit();
     return;
   }
-  // Acquire every written domain's sequence lock in canonical order (the
-  // dominant single-domain case skips building the order).
-  const auto lockView = [this](DomainView& v) {
-    std::uint64_t s = v.rv;
-    while (!v.domain->norecSeq().compare_exchange_weak(
-        s, s + 1, std::memory_order_acq_rel, std::memory_order_relaxed)) {
-      norecValidate();  // aborts on value mismatch; refreshes v.rv
-      s = v.rv;
-    }
-    v.rv = s;
-    v.seqLocked = true;
-  };
-  if (views_.size() == 1) {
-    lockView(views_[0]);
-  } else {
-    for (const std::size_t idx : writingViewsInOrder()) {
-      lockView(views_[idx]);
-    }
+  // Take the sequence lock at our snapshot: success proves nothing was
+  // committed since the last validation, so every logged read still holds.
+  std::uint64_t s = rv_;
+  while (!domain_->norecSeq().compare_exchange_weak(
+      s, s + 1, std::memory_order_acq_rel, std::memory_order_relaxed)) {
+    norecValidate();  // aborts on value mismatch; refreshes rv_
+    s = rv_;
   }
-  // Locks held: reads in written domains are implicitly valid (their
-  // sequence number had not moved since the last validation when the CAS
-  // succeeded). Reads in read-only domains need one final validation to
-  // pin the linearization point.
-  bool readOnlyDomainEntries = false;
-  for (const ValueEntry& e : valueLog_) {
-    if (!views_[e.view].seqLocked) {
-      readOnlyDomainEntries = true;
-      break;
-    }
-  }
-  if (readOnlyDomainEntries) norecValidate();
-  // Publish.
+  // Publish. Nothing below can throw, so the lock is never held at abort.
   for (const WriteEntry& we : writeSet_) {
     atomicStoreWord(we.addr, we.value);
   }
-  for (auto& v : views_) {
-    if (!v.seqLocked) continue;
-    v.seqLocked = false;
-    v.domain->norecSeq().store(v.rv + 2, std::memory_order_release);
-  }
-  speculativeAllocs_.clear();
-  flushReadStats();
-  stats_->onCommit();
-  finishAttempt(/*committed=*/true);
-  exitDomainsInFlight();
-  active_ = false;
-  runTxEndHooks();
-  runCommitAndSettledHooks();
+  domain_->norecSeq().store(rv_ + 2, std::memory_order_release);
+  finishCommit();
 }
 
 void Tx::runTxEndHooks() {

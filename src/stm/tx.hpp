@@ -40,18 +40,12 @@
 // per access.
 //
 // --- Clock domains ---------------------------------------------------------
-// A transaction is rooted in one stm::Domain (the argument of atomically)
-// but may *join* further domains mid-flight via DomainScope — this is how a
-// cross-shard move composes two trees that live on different clocks. The
-// descriptor keeps one DomainView (snapshot rv, commit timestamp wv) per
-// joined domain; reads and writes are attributed to the innermost scope's
-// domain. Snapshot extension in any domain revalidates the *entire* read
-// set, which is what makes the combined multi-domain snapshot consistent.
-// Commit acquires write locks domain-by-domain in canonical (pointer)
-// order, ticks each written domain's clock for a per-domain timestamp,
-// validates, writes back and releases — so the transaction becomes visible
-// in all domains atomically. All joined domains must share one TM backend;
-// the root domain's lock mode and elastic window govern the transaction.
+// A transaction runs in exactly one stm::Domain (the argument of the
+// outermost atomically): one clock, one orec table, one NOrec sequence lock.
+// A flat-nested atomically() on another domain, or a data structure bound
+// to another domain handed this transaction, throws std::logic_error
+// (requireDomain) — silently reading another domain's data through this
+// domain's orec table would lose conflict detection.
 #pragma once
 
 #include <cstddef>
@@ -83,9 +77,7 @@ class alignas(64) Tx {
   Tx& operator=(const Tx&) = delete;
 
   // --- lifecycle (called by stm::atomically) -------------------------------
-  // `stats` is the calling thread's slot for `d` (the root domain); every
-  // counter this attempt produces — including accesses made in joined
-  // domains — is attributed to the root domain's registry.
+  // `stats` is the calling thread's slot for `d`.
   void begin(Domain& d, TxKind kind, ThreadStats& stats);
   void commit();
   // Releases any held locks, bumps stats, prepares for retry. Does not throw.
@@ -108,19 +100,16 @@ class alignas(64) Tx {
     return w;
   }
 
-  // The domain the current attempt was begun in. Precondition: begin() has
-  // run at least once.
-  Domain& rootDomain() const { return *views_.front().domain; }
-  // The domain the next access will be attributed to (innermost scope).
-  Domain& currentDomain() const { return *views_[curView_].domain; }
-
-  // --- domain scoping (called by DomainScope / stm::atomically) ------------
-  // Makes `d` the current access domain, joining it (fresh snapshot) if the
-  // transaction has not touched it yet. Returns the previous scope index
-  // for exitDomain. Precondition: active(), and d's backend matches the
-  // root domain's.
-  std::size_t enterDomain(Domain& d);
-  void exitDomain(std::size_t prev) { curView_ = prev; }
+  // The domain the current attempt runs in. Precondition: begin() has run
+  // at least once.
+  Domain& domain() const { return *domain_; }
+  // Throws std::logic_error unless this transaction runs in `d`. Called by
+  // flat-nested atomically() and at the top of every Tx-composable data
+  // structure operation; the throw unwinds through stm::atomically, which
+  // aborts the enclosing attempt (no write survives) and rethrows.
+  void requireDomain(const Domain& d) const {
+    if (&d != domain_) [[unlikely]] throwWrongDomain();
+  }
 
   // --- speculative accesses -------------------------------------------------
   // Transactional read: recorded and validated; opacity preserved.
@@ -207,50 +196,23 @@ class alignas(64) Tx {
     settledHooks_.push(std::forward<F>(hook));
   }
 
-  // One (domain, snapshot) pair per joined domain: the per-domain begin
-  // snapshots the current attempt's reads are consistent at (views_[i].rv,
-  // refreshed by snapshot extension). Sampled at body end by consumers that
-  // need cut provenance — the checkpoint writer stamps the forced-cut
-  // transaction's joined-domain snapshots into the manifest, recording
-  // *where on each clock* the multi-domain read-only view was pinned.
-  // Precondition: active().
+  // The (domain, snapshot) pair the current attempt's reads are consistent
+  // at (rv, refreshed by snapshot extension). Sampled at body end by
+  // consumers that need cut provenance — the checkpoint writer stamps the
+  // forced-cut transaction's snapshot into the manifest, recording *where
+  // on the clock* the read-only view was pinned. Precondition: active().
   struct SnapshotStamp {
     const Domain* domain;
     std::uint64_t rv;
   };
-  std::vector<SnapshotStamp> snapshotStamps() const {
-    std::vector<SnapshotStamp> out;
-    out.reserve(views_.size());
-    for (const DomainView& v : views_) out.push_back({v.domain, v.rv});
-    return out;
-  }
+  SnapshotStamp snapshotStamp() const { return {domain_, rv_}; }
 
-  // The root domain's (thread, domain) statistics slot. Precondition:
-  // begin() has run at least once.
+  // The (thread, domain) statistics slot. Precondition: begin() has run at
+  // least once.
   ThreadStats& stats() { return *stats_; }
   const ThreadStats& stats() const { return *stats_; }
 
  private:
-  // Per-joined-domain state. views_[0] is the root domain's view.
-  struct DomainView {
-    Domain* domain;
-    std::uint64_t rv = 0;   // snapshot (read version / NOrec sequence)
-    std::uint64_t wv = 0;   // commit timestamp (set during commit)
-    bool seqLocked = false;  // NOrec: this view's sequence lock is held
-    // RO mode: at least one zero-logging read was served from this view's
-    // snapshot. Joining a further domain must then verify this domain's
-    // clock has not moved (there is no read set to revalidate).
-    bool roTouched = false;
-    // RO mode: the clock fast path is sound for this view — no committer
-    // was mid-write-back when the snapshot was taken (see
-    // Domain::writebackActive). Falls back to per-read orec validation
-    // otherwise.
-    bool roFast = false;
-    // This transaction holds a +1 on the domain's writebackActive counter
-    // (writing commit in progress); released by endWritebacks().
-    bool wbActive = false;
-  };
-
   struct ReadEntry {
     std::atomic<OrecWord>* orec;
     std::uint64_t version;
@@ -259,7 +221,6 @@ class alignas(64) Tx {
   struct ValueEntry {
     const Word* addr;
     Word value;
-    std::size_t view;  // domain whose sequence lock guards the address
   };
   struct WriteEntry {
     Word* addr;
@@ -267,7 +228,6 @@ class alignas(64) Tx {
     std::atomic<OrecWord>* orec;
     std::uint64_t prevVersion;  // version observed when the orec was locked
     bool locked;                // this entry holds the orec lock
-    std::size_t view;           // domain the address belongs to
   };
 
   // Consistent (orec-sandwiched) load of a committed value. Returns the
@@ -314,33 +274,23 @@ class alignas(64) Tx {
   bool validateReadSet() const;
   bool validateEntry(const ReadEntry& e) const;
 
-  // Attempts to advance views_[viewIdx].rv to that domain's current clock.
-  // Revalidates the *whole* read set (all domains) so the combined snapshot
-  // stays consistent; aborts the caller on failure (returns only on
-  // success).
-  void extendSnapshot(std::size_t viewIdx);
-
-  // Write-set view indices with at least one entry, ordered by domain
-  // pointer — the canonical multi-domain acquisition order.
-  std::vector<std::size_t> writingViewsInOrder() const;
+  // Attempts to advance rv to the domain's current clock. Revalidates the
+  // whole read set; aborts the caller on failure (returns only on success).
+  void extendSnapshot();
 
   // Elastic helpers.
   void elasticRecord(std::atomic<OrecWord>* orec, std::uint64_t version);
   void elasticValidateWindow();
   void foldElasticWindowIntoReadSet();
 
-  // Drops the +1 this attempt holds on every joined domain's in-flight
-  // census (Domain::txEnter). Runs at attempt end, after the final
-  // validation reads — the census is what Domain::awaitQuiescence gates
-  // domain retirement on.
-  void exitDomainsInFlight();
-
   void acquireOrecForWrite(WriteEntry& we);
   void releaseHeldLocks(bool restoreOldVersion);
-  void releaseNorecSeqLocks();
-  // Drops every writebackActive hold this transaction still has (after the
+  // Drops the writebackActive hold this transaction may have (after the
   // write-back completed, or on abort between tick and write-back).
   void endWritebacks();
+  // Commit epilogue shared by every commit path: stats, attempt record,
+  // tx-end, commit and settled hooks.
+  void finishCommit();
   void runCommitHooks();
   void runTxEndHooks();
   // Runs the commit hooks and then the settled hooks, stealing the latter
@@ -369,22 +319,18 @@ class alignas(64) Tx {
   // Scalar-only batched variant of norecRead (see readScalar).
   Word norecReadScalar(const Word* addr);
   Word norecUread(const Word* addr);
-  // Batched RO validation: checks every joined domain's sequence lock and,
-  // when any moved past its snapshot, runs the full value-based
-  // revalidation. Resets the unvalidated-read counter.
+  // Batched RO validation: checks the sequence lock and, when it moved past
+  // the snapshot, runs the full value-based revalidation. Resets the
+  // unvalidated-read counter.
   void norecRoFlushValidation();
-  // Waits for every joined domain's sequence lock to be free (bounded spin
-  // while this transaction itself holds sequence locks, to stay
-  // deadlock-free), re-reads the value log; aborts on mismatch, else
-  // refreshes every view's snapshot.
-  // `mismatchCause` tags the abort raised on a value-log mismatch
-  // (NorecValidation normally; CrossDomainJoin when validating a join).
-  void norecValidate(
-      obs::AbortCause mismatchCause = obs::AbortCause::kNorecValidation);
+  // Waits for the sequence lock to be free, re-reads the value log; aborts
+  // on mismatch, else refreshes the snapshot.
+  void norecValidate();
   void norecCommit();
   static std::uint64_t norecWaitEven(Domain& d);
 
   [[noreturn]] void abortSelf(obs::AbortCause cause);
+  [[noreturn]] void throwWrongDomain() const;
   // Attempt epilogue: records the attempt-latency histogram and emits the
   // commit/abort trace record. Runs on every attempt end.
   void finishAttempt(bool committed);
@@ -424,11 +370,19 @@ class alignas(64) Tx {
   // validation flushes when it reaches cfg_.norecRoBatch).
   std::uint32_t norecRoPending_ = 0;
   std::uint32_t attempts_ = 0;
-  Config cfg_{};               // root domain's config, latched at begin()
+  Config cfg_{};               // the domain's config, latched at begin()
   TmBackend backend_ = TmBackend::Orec;
 
-  std::vector<DomainView> views_;
-  std::size_t curView_ = 0;
+  Domain* domain_ = nullptr;
+  std::uint64_t rv_ = 0;  // snapshot (read version / NOrec sequence)
+  std::uint64_t wv_ = 0;  // commit timestamp (set during commit)
+  // RO mode: the clock fast path is sound — no committer was mid-write-back
+  // when the snapshot was taken (see Domain::writebackActive). Falls back
+  // to per-read orec validation otherwise.
+  bool roFast_ = false;
+  // This transaction holds a +1 on the domain's writebackActive counter
+  // (writing commit in progress); released by endWritebacks().
+  bool wbActive_ = false;
 
   struct AllocEntry {
     void* ptr;
@@ -455,28 +409,7 @@ class alignas(64) Tx {
   std::vector<ReadEntry> window_;
   std::size_t windowNext_ = 0;
 
-  // Scratch for norecValidate (avoids per-validation allocation).
-  std::vector<std::uint64_t> seqSnap_;
-
-  ThreadStats* stats_ = nullptr;  // root domain's slot for this thread
-};
-
-// RAII domain scope: inside a transaction, makes `d` the domain that
-// transactional accesses are attributed to. Data structures bound to a
-// non-default domain open one of these at the top of their Tx-composable
-// operations, so a flat-nested caller transparently becomes a cross-domain
-// transaction. Cheap when `d` is already the current domain.
-class DomainScope {
- public:
-  DomainScope(Tx& tx, Domain& d) : tx_(tx), prev_(tx.enterDomain(d)) {}
-  ~DomainScope() { tx_.exitDomain(prev_); }
-
-  DomainScope(const DomainScope&) = delete;
-  DomainScope& operator=(const DomainScope&) = delete;
-
- private:
-  Tx& tx_;
-  std::size_t prev_;
+  ThreadStats* stats_ = nullptr;  // this thread's slot for domain_
 };
 
 }  // namespace sftree::stm

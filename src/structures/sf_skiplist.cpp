@@ -45,7 +45,7 @@ SFSkipList::Node* SFSkipList::findTx(stm::Tx& tx, Key k,
 }
 
 bool SFSkipList::containsTx(stm::Tx& tx, Key k) {
-  stm::DomainScope dscope(tx, domain_);
+  tx.requireDomain(domain_);
   gc::txOpGuard(tx, registry_);
   Node* preds[kMaxLevel];
   Node* succs[kMaxLevel];
@@ -54,7 +54,7 @@ bool SFSkipList::containsTx(stm::Tx& tx, Key k) {
 }
 
 std::optional<Value> SFSkipList::getTx(stm::Tx& tx, Key k) {
-  stm::DomainScope dscope(tx, domain_);
+  tx.requireDomain(domain_);
   gc::txOpGuard(tx, registry_);
   Node* preds[kMaxLevel];
   Node* succs[kMaxLevel];
@@ -78,7 +78,7 @@ int SFSkipList::randomLevel() {
 }
 
 bool SFSkipList::insertTx(stm::Tx& tx, Key k, Value v) {
-  stm::DomainScope dscope(tx, domain_);
+  tx.requireDomain(domain_);
   gc::txOpGuard(tx, registry_);
   Node* preds[kMaxLevel];
   Node* succs[kMaxLevel];
@@ -105,7 +105,7 @@ bool SFSkipList::insertTx(stm::Tx& tx, Key k, Value v) {
 }
 
 bool SFSkipList::eraseTx(stm::Tx& tx, Key k) {
-  stm::DomainScope dscope(tx, domain_);
+  tx.requireDomain(domain_);
   gc::txOpGuard(tx, registry_);
   Node* preds[kMaxLevel];
   Node* succs[kMaxLevel];

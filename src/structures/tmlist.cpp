@@ -17,7 +17,7 @@ TMList::~TMList() {
 }
 
 bool TMList::insertTx(stm::Tx& tx, Key k, Value v) {
-  stm::DomainScope dscope(tx, domain_);
+  tx.requireDomain(domain_);
   gc::txOpGuard(tx, registry_);
   ListNode* prev = nullptr;
   ListNode* curr = head_.read(tx);
@@ -38,7 +38,7 @@ bool TMList::insertTx(stm::Tx& tx, Key k, Value v) {
 }
 
 bool TMList::eraseTx(stm::Tx& tx, Key k) {
-  stm::DomainScope dscope(tx, domain_);
+  tx.requireDomain(domain_);
   gc::txOpGuard(tx, registry_);
   ListNode* prev = nullptr;
   ListNode* curr = head_.read(tx);
@@ -61,7 +61,7 @@ bool TMList::eraseTx(stm::Tx& tx, Key k) {
 }
 
 bool TMList::containsTx(stm::Tx& tx, Key k) {
-  stm::DomainScope dscope(tx, domain_);
+  tx.requireDomain(domain_);
   gc::txOpGuard(tx, registry_);
   ListNode* curr = head_.read(tx);
   while (curr != nullptr && curr->key < k) curr = curr->next.read(tx);
@@ -69,7 +69,7 @@ bool TMList::containsTx(stm::Tx& tx, Key k) {
 }
 
 std::optional<Value> TMList::getTx(stm::Tx& tx, Key k) {
-  stm::DomainScope dscope(tx, domain_);
+  tx.requireDomain(domain_);
   gc::txOpGuard(tx, registry_);
   ListNode* curr = head_.read(tx);
   while (curr != nullptr && curr->key < k) curr = curr->next.read(tx);
@@ -78,7 +78,7 @@ std::optional<Value> TMList::getTx(stm::Tx& tx, Key k) {
 }
 
 bool TMList::updateTx(stm::Tx& tx, Key k, Value v) {
-  stm::DomainScope dscope(tx, domain_);
+  tx.requireDomain(domain_);
   gc::txOpGuard(tx, registry_);
   ListNode* curr = head_.read(tx);
   while (curr != nullptr && curr->key < k) curr = curr->next.read(tx);
@@ -88,7 +88,7 @@ bool TMList::updateTx(stm::Tx& tx, Key k, Value v) {
 }
 
 std::size_t TMList::sizeTx(stm::Tx& tx) {
-  stm::DomainScope dscope(tx, domain_);
+  tx.requireDomain(domain_);
   gc::txOpGuard(tx, registry_);
   std::size_t n = 0;
   for (ListNode* curr = head_.read(tx); curr != nullptr;
@@ -100,7 +100,7 @@ std::size_t TMList::sizeTx(stm::Tx& tx) {
 
 void TMList::forEachTx(stm::Tx& tx,
                        const std::function<void(Key, Value)>& fn) {
-  stm::DomainScope dscope(tx, domain_);
+  tx.requireDomain(domain_);
   gc::txOpGuard(tx, registry_);
   for (ListNode* curr = head_.read(tx); curr != nullptr;
        curr = curr->next.read(tx)) {

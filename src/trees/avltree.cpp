@@ -140,7 +140,7 @@ AVLNode* AVLTree::eraseRec(stm::Tx& tx, AVLNode* n, Key k, bool& erased) {
 }
 
 bool AVLTree::insertTx(stm::Tx& tx, Key k, Value v) {
-  stm::DomainScope dscope(tx, domain_);
+  tx.requireDomain(domain_);
   gc::txOpGuard(tx, registry_);
   bool inserted = false;
   AVLNode* r = root_.read(tx);
@@ -150,7 +150,7 @@ bool AVLTree::insertTx(stm::Tx& tx, Key k, Value v) {
 }
 
 bool AVLTree::eraseTx(stm::Tx& tx, Key k) {
-  stm::DomainScope dscope(tx, domain_);
+  tx.requireDomain(domain_);
   gc::txOpGuard(tx, registry_);
   bool erased = false;
   AVLNode* r = root_.read(tx);
@@ -160,7 +160,7 @@ bool AVLTree::eraseTx(stm::Tx& tx, Key k) {
 }
 
 bool AVLTree::containsTx(stm::Tx& tx, Key k) {
-  stm::DomainScope dscope(tx, domain_);
+  tx.requireDomain(domain_);
   gc::txOpGuard(tx, registry_);
   AVLNode* x = root_.read(tx);
   while (x != nullptr && x->key != k) {
@@ -170,7 +170,7 @@ bool AVLTree::containsTx(stm::Tx& tx, Key k) {
 }
 
 std::optional<Value> AVLTree::getTx(stm::Tx& tx, Key k) {
-  stm::DomainScope dscope(tx, domain_);
+  tx.requireDomain(domain_);
   gc::txOpGuard(tx, registry_);
   AVLNode* x = root_.read(tx);
   while (x != nullptr && x->key != k) {
@@ -242,7 +242,7 @@ std::size_t avlCountRange(stm::Tx& tx, AVLNode* n, Key lo, Key hi) {
 }  // namespace
 
 std::size_t AVLTree::countRangeTx(stm::Tx& tx, Key lo, Key hi) {
-  stm::DomainScope dscope(tx, domain_);
+  tx.requireDomain(domain_);
   gc::txOpGuard(tx, registry_);
   return avlCountRange(tx, root_.read(tx), lo, hi);
 }

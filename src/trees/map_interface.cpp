@@ -78,8 +78,8 @@ class SFTreeMap final : public ITransactionalMap {
   std::size_t countRangeTx(stm::Tx& tx, Key lo, Key hi) override {
     return tree_.countRangeTx(tx, lo, hi);
   }
-  // Root the snapshot in the tree's own domain (read-only kind, no
-  // cross-domain join) instead of the interface default.
+  // Root the snapshot in the tree's own domain (read-only kind) instead of
+  // the interface default.
   std::size_t countRange(Key lo, Key hi) override {
     return tree_.countRange(lo, hi);
   }

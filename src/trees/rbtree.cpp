@@ -127,7 +127,7 @@ void RBTree::insertFixup(stm::Tx& tx, RBNode* z) {
 }
 
 bool RBTree::insertTx(stm::Tx& tx, Key k, Value v) {
-  stm::DomainScope dscope(tx, domain_);
+  tx.requireDomain(domain_);
   gc::txOpGuard(tx, registry_);
   RBNode* y = nullptr;
   RBNode* x = root_.read(tx);
@@ -231,7 +231,7 @@ void RBTree::eraseFixup(stm::Tx& tx, RBNode* x, RBNode* xParent) {
 }
 
 bool RBTree::eraseTx(stm::Tx& tx, Key k) {
-  stm::DomainScope dscope(tx, domain_);
+  tx.requireDomain(domain_);
   gc::txOpGuard(tx, registry_);
   RBNode* z = searchTx(tx, k);
   if (z == nullptr) return false;
@@ -312,13 +312,13 @@ bool RBTree::contains(Key k) {
 }
 
 bool RBTree::containsTx(stm::Tx& tx, Key k) {
-  stm::DomainScope dscope(tx, domain_);
+  tx.requireDomain(domain_);
   gc::txOpGuard(tx, registry_);
   return searchTx(tx, k) != nullptr;
 }
 
 std::optional<Value> RBTree::getTx(stm::Tx& tx, Key k) {
-  stm::DomainScope dscope(tx, domain_);
+  tx.requireDomain(domain_);
   gc::txOpGuard(tx, registry_);
   RBNode* n = searchTx(tx, k);
   if (n == nullptr) return std::nullopt;
@@ -361,7 +361,7 @@ std::size_t rbCountRange(stm::Tx& tx, RBNode* n, Key lo, Key hi) {
 }  // namespace
 
 std::size_t RBTree::countRangeTx(stm::Tx& tx, Key lo, Key hi) {
-  stm::DomainScope dscope(tx, domain_);
+  tx.requireDomain(domain_);
   gc::txOpGuard(tx, registry_);
   return rbCountRange(tx, root_.read(tx), lo, hi);
 }

@@ -136,9 +136,18 @@ SFNode* SFTree::findOptimized(stm::Tx& tx, Key k, bool pin) const {
         if (next == nullptr) break;  // curr is the insertion point for k
         continue;                    // a child appeared meanwhile
       }
-      // Removed node with a null child: escape through the other child,
-      // whose range is at least as large as ours was (Lemma 16).
-      next = goLeft ? curr->right.uread(tx) : curr->left.uread(tx);
+      // Removed node. The null child was read before the removal check,
+      // and curr may have gained a child on k's side before it was
+      // unlinked (a rotation at its parent moves curr up and hangs the
+      // parent's copy there; a rotation at curr then removes it). A
+      // removed node's links no longer change, so re-read that side first;
+      // only if it is still null escape through the other child, whose
+      // range is at least as large as ours was (Lemma 16). Escaping on the
+      // stale null would lead to a subtree whose range excludes k.
+      next = goLeft ? curr->left.uread(tx) : curr->right.uread(tx);
+      if (next == nullptr) {
+        next = goLeft ? curr->right.uread(tx) : curr->left.uread(tx);
+      }
       if (next == nullptr) tx.restart();  // cannot happen on a valid tree
     }
     // Validate the parent's link to the candidate with a transactional
@@ -152,9 +161,18 @@ SFNode* SFTree::findOptimized(stm::Tx& tx, Key k, bool pin) const {
       tmp = pin ? parent->right.readPinned(tx) : parent->right.read(tx);
     }
     if (tmp == curr) return curr;
-    // The link changed: re-examine the candidate starting from the parent.
-    next = curr;
-    curr = parent;
+    // The link changed: curr or the parent was unlinked meanwhile.
+    // Re-examining curr could repeat the same failed check until the step
+    // limit (a physically removed parent's escape links never point back
+    // at curr), so continue from the parent along the link just read,
+    // whose range still covers k. A null link leaves nothing to follow:
+    // start over from the root.
+    if (tmp != nullptr) {
+      next = tmp;
+      curr = parent;
+    } else {
+      next = curr = root_;
+    }
   }
 }
 
@@ -167,7 +185,7 @@ SFNode* SFTree::find(stm::Tx& tx, Key k, bool pin) const {
 // Abstract operations
 // --------------------------------------------------------------------------
 bool SFTree::containsTx(stm::Tx& tx, Key k) {
-  stm::DomainScope dscope(tx, domain_);
+  tx.requireDomain(domain_);
   gc::txOpGuard(tx, registry_);
   SFNode* curr = find(tx, k);
   if (curr->key != k) return false;
@@ -178,7 +196,7 @@ bool SFTree::containsTx(stm::Tx& tx, Key k) {
 }
 
 std::optional<Value> SFTree::getTx(stm::Tx& tx, Key k) {
-  stm::DomainScope dscope(tx, domain_);
+  tx.requireDomain(domain_);
   gc::txOpGuard(tx, registry_);
   SFNode* curr = find(tx, k);
   if (curr->key != k) return std::nullopt;
@@ -189,7 +207,7 @@ std::optional<Value> SFTree::getTx(stm::Tx& tx, Key k) {
 
 bool SFTree::insertTx(stm::Tx& tx, Key k, Value v) {
   assert(k < kInfiniteKey && "user keys must be < +inf sentinel");
-  stm::DomainScope dscope(tx, domain_);
+  tx.requireDomain(domain_);
   gc::txOpGuard(tx, registry_);
   SFNode* curr = find(tx, k, /*pin=*/true);
   if (curr->key == k) {
@@ -230,7 +248,7 @@ bool SFTree::insertTx(stm::Tx& tx, Key k, Value v) {
 }
 
 bool SFTree::eraseTx(stm::Tx& tx, Key k) {
-  stm::DomainScope dscope(tx, domain_);
+  tx.requireDomain(domain_);
   gc::txOpGuard(tx, registry_);
   SFNode* curr = find(tx, k, /*pin=*/true);
   if (curr->key != k) return false;
@@ -270,7 +288,7 @@ std::size_t countRangeRec(stm::Tx& tx, SFNode* n, Key lo, Key hi) {
 }  // namespace
 
 std::size_t SFTree::countRangeTx(stm::Tx& tx, Key lo, Key hi) {
-  stm::DomainScope dscope(tx, domain_);
+  tx.requireDomain(domain_);
   gc::txOpGuard(tx, registry_);
   // The sentinel's key is +inf, so the user range never includes it.
   return countRangeRec(tx, root_->left.read(tx), lo, hi);
@@ -293,7 +311,7 @@ std::size_t SFTree::countRange(Key lo, Key hi) {
 // --------------------------------------------------------------------------
 // Bulk relocation (shard migration): extract = one in-order walk that
 // logically deletes and collects matching keys; adopt = batch insert. Both
-// compose into the caller's (cross-domain) transaction, so a batch moves
+// compose into the caller's transaction, so a batch moves
 // atomically: no reader can see a migrating key in both trees or in
 // neither.
 // --------------------------------------------------------------------------
@@ -341,7 +359,7 @@ bool SFTree::extractRangeTx(stm::Tx& tx, Key lo, std::size_t maxN,
                             std::vector<ExtractedKV>& out, Key& nextLo) {
   assert(tx.kind() != stm::TxKind::Elastic &&
          "extractRangeTx requires a Normal transaction (no pinning here)");
-  stm::DomainScope dscope(tx, domain_);
+  tx.requireDomain(domain_);
   gc::txOpGuard(tx, registry_);
   out.clear();  // the enclosing transaction may retry this attempt
   ExtractCtx c;
@@ -368,7 +386,7 @@ bool SFTree::scanRangeTx(stm::Tx& tx, Key lo, std::size_t maxN,
                          std::vector<ExtractedKV>& out, Key& nextLo) {
   assert(tx.kind() != stm::TxKind::Elastic &&
          "scanRangeTx requires Normal/ReadOnly (no pinning here)");
-  stm::DomainScope dscope(tx, domain_);
+  tx.requireDomain(domain_);
   gc::txOpGuard(tx, registry_);
   out.clear();  // the enclosing transaction may retry this attempt
   ExtractCtx c;
@@ -383,7 +401,7 @@ bool SFTree::scanRangeTx(stm::Tx& tx, Key lo, std::size_t maxN,
 }
 
 bool SFTree::reserveAbsentTx(stm::Tx& tx, Key k) {
-  stm::DomainScope dscope(tx, domain_);
+  tx.requireDomain(domain_);
   gc::txOpGuard(tx, registry_);
   SFNode* curr = find(tx, k, /*pin=*/true);
   if (curr->key == k) {
@@ -412,7 +430,7 @@ bool SFTree::reserveAbsentTx(stm::Tx& tx, Key k) {
 
 std::size_t SFTree::adoptRangeTx(stm::Tx& tx, const ExtractedKV* kvs,
                                  std::size_t n) {
-  stm::DomainScope dscope(tx, domain_);
+  tx.requireDomain(domain_);
   gc::txOpGuard(tx, registry_);
   std::size_t inserted = 0;
   for (std::size_t i = 0; i < n; ++i) {

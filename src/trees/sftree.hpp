@@ -128,8 +128,9 @@ struct SplayParams {
 struct SFTreeConfig {
   OpsVariant ops = OpsVariant::Optimized;
   // STM clock domain the tree's transactions run against; null selects the
-  // process default. Give independent trees independent domains (e.g. one
-  // per shard) to take their commits off the shared version clock.
+  // process default. Give independent trees independent domains to take
+  // their commits off a shared version clock; trees one transaction
+  // composes (a sharded map's shards) must share one domain.
   stm::Domain* domain = nullptr;
   // Transaction kind used by the abstract operations (Normal, or Elastic to
   // run on the E-STM-equivalent mode). With the Portable ops variant,
@@ -293,7 +294,7 @@ class SFTree {
                       std::vector<ExtractedKV>& out, Key& nextLo);
   // Migration destination half: inserts every pair inside the enclosing
   // transaction — the per-key link-in is unavoidable, but one transaction
-  // (and one cross-domain join) amortizes over the whole batch. Returns the
+  // amortizes over the whole batch. Returns the
   // number actually inserted; a key already present is skipped, which the
   // caller should treat as an invariant violation (a migrating key lives in
   // exactly one committed shard).
@@ -508,8 +509,8 @@ class SFTree {
   SFTreeConfig cfg_;
   stm::Domain& domain_;
   // Node storage. Declared before the limbo list so retired nodes can still
-  // recycle into it during destruction; one arena per tree keeps a
-  // per-shard-domain deployment's node memory per domain.
+  // recycle into it during destruction; one arena per tree lets a retired
+  // shard free its node memory wholesale.
   mem::NodeArena<SFNode> arena_;
   SFNode* root_;  // sentinel, key == kInfiniteKey, never rotated/removed
 

@@ -7,7 +7,6 @@
 //   lock_conflict         eager write hits an orec locked by another tx
 //   norec_validation      NOrec value validation sees a changed value
 //   elastic_validation    elastic window entry overwritten mid-traversal
-//   cross_domain_join     joining a second domain invalidates prior reads
 //   user_restart          explicit tx.restart()
 //   ro_snapshot_extension zero-logging RO body restarts on a stale snapshot
 //   ro_promotion          write inside an RO body promotes to read-write
@@ -140,28 +139,6 @@ TEST(AbortTaxonomyTest, ElasticWindowValidationAbort) {
   });
   EXPECT_EQ(attempts, 2);
   EXPECT_GE(st.abortsFor(AbortCause::kElasticValidation), 1u);
-  EXPECT_EQ(st.conflictAbortTotal(), st.aborts);
-}
-
-TEST(AbortTaxonomyTest, CrossDomainJoinValidationAbort) {
-  stm::Domain domA;
-  stm::Domain domB;
-  stm::TxField<std::int64_t> x(1);
-  stm::TxField<std::int64_t> y(2);
-  auto& st = stm::threadStats(domA);
-  st.reset();
-  int attempts = 0;
-  stm::atomically(domA, [&](stm::Tx& tx) {
-    ++attempts;
-    (void)x.read(tx);
-    if (attempts == 1) commitFromOtherThread(domA, x, 99);
-    // Joining the second domain is a snapshot advance: it must revalidate
-    // everything already read, and x is stale.
-    stm::DomainScope scope(tx, domB);
-    (void)y.read(tx);
-  });
-  EXPECT_EQ(attempts, 2);
-  EXPECT_GE(st.abortsFor(AbortCause::kCrossDomainJoin), 1u);
   EXPECT_EQ(st.conflictAbortTotal(), st.aborts);
 }
 

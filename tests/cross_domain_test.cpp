@@ -1,15 +1,18 @@
-// Cross-domain transactions: a transaction rooted in one stm::Domain that
-// joins others mid-flight must stay atomic and opaque — most importantly
-// the sharded map's cross-shard move() with per-shard clock domains, where
-// concurrent movers and observers must never see a key in zero or two
-// shards. Exercised for both the orec and the NOrec backend and run under
-// ThreadSanitizer in CI.
+// Domain binding and cross-shard moves. A transaction runs in exactly one
+// stm::Domain: a flat-nested atomically() on another domain, or a data
+// structure bound to another domain, throws std::logic_error and rolls the
+// enclosing transaction back. A ShardedMap keeps every shard (and its
+// routing table) on its one domain, so a cross-shard move() is a
+// single-clock transaction; concurrent movers and observers must never see
+// a key in zero or two shards. Exercised for both the orec and the NOrec
+// backend and run under ThreadSanitizer in CI.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <barrier>
 #include <map>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -17,188 +20,111 @@
 #include "shard/maintenance_scheduler.hpp"
 #include "shard/sharded_map.hpp"
 #include "stm/stm.hpp"
+#include "trees/sftree.hpp"
 
 namespace shard = sftree::shard;
 namespace stm = sftree::stm;
+namespace trees = sftree::trees;
 using sftree::Key;
 using sftree::Value;
 using sftree::bench::Rng;
 
 namespace {
 
-// --- STM-level semantics ----------------------------------------------------
+// --- one transaction, one domain -------------------------------------------
 
-TEST(CrossDomainTxTest, NestedScopeJoinsSecondDomain) {
+TEST(DomainBindingTest, NestedAtomicallyOnSecondDomainThrows) {
   stm::Domain a;
   stm::Domain b;
-  stm::TxField<std::int64_t> xa(1);
-  stm::TxField<std::int64_t> xb(2);
-
-  const auto sum = stm::atomically(a, [&](stm::Tx& tx) {
-    const auto va = xa.read(tx);
-    const auto vb = stm::atomically(b, [&](stm::Tx& inner) {
-      // Flat nesting: same descriptor, second domain joined.
-      EXPECT_EQ(&inner, &tx);
-      EXPECT_EQ(&inner.currentDomain(), &b);
-      return xb.read(inner);
-    });
-    EXPECT_EQ(&tx.currentDomain(), &a);
-    EXPECT_EQ(&tx.rootDomain(), &a);
-    return va + vb;
-  });
-  EXPECT_EQ(sum, 3);
-}
-
-TEST(CrossDomainTxTest, WritesToTwoDomainsCommitTogether) {
-  stm::Domain a;
-  stm::Domain b;
-  stm::TxField<std::int64_t> xa(0);
-  stm::TxField<std::int64_t> xb(0);
-
-  stm::atomically(a, [&](stm::Tx& tx) {
-    xa.write(tx, 7);
-    stm::atomically(b, [&](stm::Tx&) { xb.write(tx, 8); });
-  });
-  EXPECT_EQ(xa.loadRelaxed(), 7);
-  EXPECT_EQ(xb.loadRelaxed(), 8);
-  // Exactly one writing commit was recorded on each clock.
-  EXPECT_EQ(a.clock().now(), 1u);
-  EXPECT_EQ(b.clock().now(), 1u);
-}
-
-TEST(CrossDomainTxTest, AbortRollsBackBothDomains) {
-  stm::Domain a;
-  stm::Domain b;
-  stm::TxField<std::int64_t> xa(1);
-  stm::TxField<std::int64_t> xb(2);
+  stm::TxField<std::int64_t> x(1);
   int attempts = 0;
 
+  EXPECT_THROW(stm::atomically(a,
+                               [&](stm::Tx& tx) {
+                                 ++attempts;
+                                 x.write(tx, 2);
+                                 stm::atomically(b, [](stm::Tx&) {});
+                               }),
+               std::logic_error);
+  // Not retried, and the enclosing transaction left no write behind.
+  EXPECT_EQ(attempts, 1);
+  EXPECT_FALSE(stm::inTransaction());
+  EXPECT_EQ(x.loadRelaxed(), 1);
+  EXPECT_EQ(a.clock().now(), 0u);
+  EXPECT_EQ(b.clock().now(), 0u);
+
+  // The descriptor is reusable, and nesting on the same domain still
+  // flattens into one transaction.
   stm::atomically(a, [&](stm::Tx& tx) {
-    xa.write(tx, 100);
-    stm::atomically(b, [&](stm::Tx&) { xb.write(tx, 200); });
-    if (++attempts == 1) tx.restart();
-  });
-  EXPECT_EQ(attempts, 2);
-  EXPECT_EQ(xa.loadRelaxed(), 100);
-  EXPECT_EQ(xb.loadRelaxed(), 200);
-}
-
-// Two counters in different domains are incremented together; transactional
-// readers spanning both domains must always see them equal. This is the
-// core opacity property the multi-domain commit has to provide (a reader
-// that misses the B half after seeing the A half would report a skew).
-void runTwoDomainAtomicityStress(stm::Config cfg) {
-  stm::Domain a(cfg);
-  stm::Domain b(cfg);
-  stm::TxField<std::int64_t> xa(0);
-  stm::TxField<std::int64_t> xb(0);
-  std::atomic<bool> stop{false};
-  std::atomic<int> anomalies{0};
-
-  std::thread writer([&] {
-    for (std::int64_t i = 1; i <= 8000; ++i) {
-      stm::atomically(a, [&](stm::Tx& tx) {
-        xa.write(tx, i);
-        stm::atomically(b, [&](stm::Tx&) { xb.write(tx, i); });
-      });
-    }
-    stop.store(true, std::memory_order_release);
-  });
-  std::vector<std::thread> readers;
-  for (int r = 0; r < 2; ++r) {
-    readers.emplace_back([&] {
-      while (!stop.load(std::memory_order_acquire)) {
-        const auto [va, vb] = stm::atomically(b, [&](stm::Tx& tx) {
-          // Root in b, join a — the reverse orientation of the writer, so
-          // the canonical lock ordering is exercised from both sides.
-          const auto vb2 = xb.read(tx);
-          const auto va2 =
-              stm::atomically(a, [&](stm::Tx&) { return xa.read(tx); });
-          return std::pair{va2, vb2};
-        });
-        if (va != vb) anomalies.fetch_add(1);
-      }
+    x.write(tx, 3);
+    stm::atomically(a, [&](stm::Tx& inner) {
+      EXPECT_EQ(&inner, &tx);
+      EXPECT_EQ(&inner.domain(), &a);
     });
-  }
-  writer.join();
-  for (auto& t : readers) t.join();
-  EXPECT_EQ(anomalies.load(), 0);
+  });
+  EXPECT_EQ(x.loadRelaxed(), 3);
 }
 
-TEST(CrossDomainTxTest, TwoDomainSnapshotsAreConsistentOrec) {
-  runTwoDomainAtomicityStress(stm::Config{});
+TEST(DomainBindingTest, StructureOpOnForeignTransactionThrows) {
+  stm::Domain a;
+  stm::Domain b;
+  trees::SFTreeConfig treeCfg;
+  treeCfg.domain = &b;
+  treeCfg.startMaintenance = false;
+  trees::SFTree tree(treeCfg);
+  ASSERT_TRUE(tree.insert(5, 50));
+
+  shard::ShardedMapConfig mapCfg;
+  mapCfg.shards = 2;
+  mapCfg.domain = &b;
+  mapCfg.tree.startMaintenance = false;
+  shard::ShardedMap map(mapCfg);
+
+  stm::TxField<std::int64_t> x(1);
+  EXPECT_THROW(stm::atomically(a,
+                               [&](stm::Tx& tx) {
+                                 x.write(tx, 2);
+                                 tree.insertTx(tx, 7, 70);
+                               }),
+               std::logic_error);
+  EXPECT_THROW(stm::atomically(a,
+                               [&](stm::Tx& tx) {
+                                 x.write(tx, 2);
+                                 map.insertTx(tx, 7, 70);
+                               }),
+               std::logic_error);
+  EXPECT_EQ(x.loadRelaxed(), 1);
+  EXPECT_EQ(a.clock().now(), 0u);
+  EXPECT_FALSE(tree.contains(7));
+  EXPECT_TRUE(tree.contains(5));
+  EXPECT_FALSE(map.contains(7));
+
+  // On the right domain the same composition commits.
+  stm::atomically(b, [&](stm::Tx& tx) {
+    EXPECT_TRUE(tree.insertTx(tx, 7, 70));
+    EXPECT_TRUE(map.insertTx(tx, 7, 70));
+  });
+  EXPECT_TRUE(tree.contains(7));
+  EXPECT_EQ(map.get(7), std::optional<Value>(70));
 }
 
-TEST(CrossDomainTxTest, TwoDomainSnapshotsAreConsistentEager) {
-  stm::Config cfg;
-  cfg.lockMode = stm::LockMode::Eager;
-  runTwoDomainAtomicityStress(cfg);
-}
+// --- cross-shard moves ------------------------------------------------------
 
-TEST(CrossDomainTxTest, TwoDomainSnapshotsAreConsistentNOrec) {
-  stm::Config cfg;
-  cfg.backend = stm::TmBackend::NOrec;
-  runTwoDomainAtomicityStress(cfg);
-}
-
-// Concurrent writers rooted in opposite domains: the ordered acquisition
-// must neither deadlock nor lose increments.
-TEST(CrossDomainTxTest, OpposingWritersMakeProgress) {
-  for (const auto backend : {stm::TmBackend::Orec, stm::TmBackend::NOrec}) {
-    stm::Config cfg;
-    cfg.backend = backend;
-    stm::Domain a(cfg);
-    stm::Domain b(cfg);
-    stm::TxField<std::int64_t> xa(0);
-    stm::TxField<std::int64_t> xb(0);
-    constexpr int kThreads = 4;
-    constexpr int kPerThread = 2000;
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&, t] {
-        // Each address is always attributed to the same domain (xa -> a,
-        // xb -> b); only the transaction's *root* differs per parity, so
-        // the canonical acquisition order is exercised from both sides.
-        stm::Domain& root = (t % 2 == 0) ? a : b;
-        for (int i = 0; i < kPerThread; ++i) {
-          stm::atomically(root, [&](stm::Tx& tx) {
-            {
-              stm::DomainScope sa(tx, a);
-              xa.write(tx, xa.read(tx) + 1);
-            }
-            {
-              stm::DomainScope sb(tx, b);
-              xb.write(tx, xb.read(tx) + 1);
-            }
-          });
-        }
-      });
-    }
-    for (auto& th : threads) th.join();
-    EXPECT_EQ(xa.loadRelaxed(), kThreads * kPerThread);
-    EXPECT_EQ(xb.loadRelaxed(), kThreads * kPerThread);
-  }
-}
-
-// --- ShardedMap with per-shard domains --------------------------------------
-
-// Tokens bounce between random slots of a per-shard-domain map while
-// observers count them in one cross-domain snapshot; the count is invariant
-// under move, so any deviation means a key was visible in zero or two
-// shards.
+// Tokens bounce between random slots of a sharded map while observers count
+// them in one whole-map snapshot; the count is invariant under move, so any
+// deviation means a key was visible in zero or two shards.
 void runCrossShardMoveStress(stm::Config stmCfg) {
   shard::MaintenanceSchedulerConfig schedCfg;
   schedCfg.workers = 2;
   shard::MaintenanceScheduler scheduler(schedCfg);
+  stm::Domain domain(stmCfg);
 
   shard::ShardedMapConfig cfg;
   cfg.shards = 4;
   cfg.scheduler = &scheduler;
-  cfg.domainMode = shard::DomainMode::PerShard;
-  cfg.stmConfig = stmCfg;
+  cfg.domain = &domain;
   shard::ShardedMap map(cfg);
-  ASSERT_TRUE(map.perShardDomains());
-  ASSERT_EQ(map.domains().size(), 4u);
+  ASSERT_EQ(&map.domain(), &domain);
 
   constexpr Key kRange = 256;
   constexpr int kTokens = 64;
@@ -210,7 +136,7 @@ void runCrossShardMoveStress(stm::Config stmCfg) {
   std::atomic<int> snapshotViolations{0};
   std::atomic<int> pairViolations{0};
 
-  // Observer 1: whole-map snapshot (joins every shard domain).
+  // Observer 1: whole-map snapshot.
   std::thread counter([&] {
     while (!stop.load(std::memory_order_acquire)) {
       const std::size_t seen = map.countRange(0, kRange - 1);
@@ -229,11 +155,9 @@ void runCrossShardMoveStress(stm::Config stmCfg) {
       const Key k2 = static_cast<Key>(rng.nextBounded(kRange));
       if (k1 == k2) continue;
       const auto [v1, v2] =
-          stm::atomically(map.domainOf(map.shardIndexFor(k1)),
-                          [&](stm::Tx& tx) {
-                            return std::pair{map.getTx(tx, k1),
-                                             map.getTx(tx, k2)};
-                          });
+          stm::atomically(map.domain(), [&](stm::Tx& tx) {
+            return std::pair{map.getTx(tx, k1), map.getTx(tx, k2)};
+          });
       if (v1 && v2 && *v1 == *v2) pairViolations.fetch_add(1);
     }
   });
@@ -257,7 +181,7 @@ void runCrossShardMoveStress(stm::Config stmCfg) {
   prober.join();
 
   EXPECT_EQ(snapshotViolations.load(), 0)
-      << "a cross-domain snapshot saw a moved key at both shards or neither";
+      << "a whole-map snapshot saw a moved key at both shards or neither";
   EXPECT_EQ(pairViolations.load(), 0)
       << "a token was observed at two keys simultaneously";
 
@@ -277,14 +201,10 @@ void runCrossShardMoveStress(stm::Config stmCfg) {
   ASSERT_EQ(values.size(), static_cast<std::size_t>(kTokens));
   for (int i = 0; i < kTokens; ++i) EXPECT_EQ(values[i], 1'000 + i);
 
-  // The per-domain stats plumbing reports one entry per shard and real
-  // traffic on each clock.
+  // The map's stats report its domain's traffic.
   const auto stats = map.aggregatedStats();
-  ASSERT_EQ(stats.domainStats.size(), 4u);
-  std::uint64_t commits = 0;
-  for (const auto& d : stats.domainStats) commits += d.commits;
-  EXPECT_GT(commits, 0u);
-  EXPECT_EQ(stats.stm.commits, commits);
+  EXPECT_GT(stats.stm.commits, 0u);
+  EXPECT_EQ(stats.stm.commits, domain.aggregateStats().commits);
 }
 
 TEST(CrossDomainMoveTest, MoveAtomicUnderConcurrencyOrec) {
@@ -297,14 +217,12 @@ TEST(CrossDomainMoveTest, MoveAtomicUnderConcurrencyNOrec) {
   runCrossShardMoveStress(cfg);
 }
 
-// Per-shard domains against the sequential model (cross-shard moves
-// included): the domain split must not change observable map semantics.
-TEST(CrossDomainMoveTest, PerShardDomainsMatchSequentialModel) {
+// Cross-shard moves and range counts against the sequential model.
+TEST(CrossDomainMoveTest, CrossShardMovesMatchSequentialModel) {
   shard::MaintenanceScheduler scheduler;
   shard::ShardedMapConfig cfg;
   cfg.shards = 5;
   cfg.scheduler = &scheduler;
-  cfg.domainMode = shard::DomainMode::PerShard;
   shard::ShardedMap map(cfg);
 
   std::map<Key, Value> model;
@@ -325,7 +243,7 @@ TEST(CrossDomainMoveTest, PerShardDomainsMatchSequentialModel) {
         EXPECT_EQ(map.contains(k), model.count(k) > 0);
         break;
       case 3: {
-        // Consistent cross-domain range count.
+        // Consistent whole-map range count.
         const Key hi = k + static_cast<Key>(rng.nextBounded(64));
         std::size_t expect = 0;
         for (auto it = model.lower_bound(k);

@@ -193,7 +193,7 @@ TEST(ServingTest, EveryRequestCompletesAcrossShutdown) {
 TEST(ServingTest, AimdShrinksBatchUnderConflicts) {
   shard::MaintenanceScheduler scheduler;
   shard::ShardedMapConfig cfg;
-  cfg.shards = 1;  // one domain: every update contends
+  cfg.shards = 1;  // one tree: every update contends
   cfg.scheduler = &scheduler;
   shard::ShardedMap map(cfg);
 
@@ -255,7 +255,6 @@ TEST(ServingTest, BatchesSpanLiveResharding) {
   cfg.routingSlots = 32;
   cfg.migrationBatch = 16;  // more batch boundaries = more race windows
   cfg.scheduler = &scheduler;
-  cfg.domainMode = shard::DomainMode::PerShard;
   shard::ShardedMap map(cfg);
 
   serve::ServingTierConfig scfg;

@@ -5,7 +5,7 @@
 //   * a write inside an RO transaction transparently promotes the attempt
 //     to read-write mode and the operation stays atomic;
 //   * RO snapshot isolation holds under concurrent writers on both the orec
-//     and the NOrec backend, in fresh domains and across two domains;
+//     and the NOrec backend;
 //   * the tree read operations ride the RO path end to end.
 #include <gtest/gtest.h>
 
@@ -144,53 +144,6 @@ TEST(ReadOnlyTxTest, SnapshotIsolationUnderWritersNOrec) {
   cfg.backend = stm::TmBackend::NOrec;
   stm::Domain dom(cfg);
   runSnapshotIsolation(dom);
-}
-
-// Cross-domain RO: a writer moves value between two domains atomically
-// (multi-domain commit); an RO reader joining both domains must always see
-// the sum conserved.
-TEST(ReadOnlyTxTest, CrossDomainSnapshotIsolation) {
-  stm::Domain domA;
-  stm::Domain domB;
-  stm::TxField<std::int64_t> a(1000);
-  stm::TxField<std::int64_t> b(0);
-  std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> violations{0};
-
-  std::thread writer([&] {
-    for (int i = 0; i < 10000; ++i) {
-      stm::atomically(domA, [&](stm::Tx& tx) {
-        stm::DomainScope sa(tx, domA);
-        const auto va = a.read(tx);
-        a.write(tx, va - 1);
-        stm::DomainScope sb(tx, domB);
-        b.write(tx, b.read(tx) + 1);
-      });
-    }
-    stop.store(true);
-  });
-  std::thread reader([&] {
-    while (!stop.load(std::memory_order_relaxed)) {
-      const auto sum =
-          stm::atomically(domA, stm::TxKind::ReadOnly, [&](stm::Tx& tx) {
-            std::int64_t s = 0;
-            {
-              stm::DomainScope sa(tx, domA);
-              s += a.read(tx);
-            }
-            {
-              stm::DomainScope sb(tx, domB);
-              s += b.read(tx);
-            }
-            return s;
-          });
-      if (sum != 1000) violations.fetch_add(1);
-    }
-  });
-  writer.join();
-  reader.join();
-  EXPECT_EQ(violations.load(), 0u);
-  EXPECT_EQ(a.loadRelaxed() + b.loadRelaxed(), 1000);
 }
 
 // End-to-end: tree contains/get/countRange ride the RO path, and the
